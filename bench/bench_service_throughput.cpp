@@ -5,6 +5,11 @@
 //     cheaper than a cold-miss full analysis (ship the whole spec +
 //     arch + implementation and rebuild), because the resident
 //     SrgEvaluator only re-propagates the dirty cone;
+//   * full reports follow the dirty cone: a delta analyze with
+//     "full_report": true re-encodes only the report rows whose SRG
+//     changed (the resident's fragment cache), so it must stay within a
+//     small factor of the compact delta instead of paying to serialize
+//     every communicator;
 //   * determinism: the same single-connection request log answered by a
 //     1-worker server and an 8-worker server must produce byte-identical
 //     response streams — worker count is a pure throughput knob.
@@ -100,7 +105,8 @@ std::string cold_frame(const Corpus& corpus, const std::string& id) {
 
 std::string mutate_frame(const Corpus& corpus,
                          const std::string& fingerprint,
-                         const std::string& id, std::size_t step) {
+                         const std::string& id, std::size_t step,
+                         bool full_report = false) {
   const std::string& task = corpus.tasks[step % corpus.tasks.size()];
   const std::string& host =
       corpus.hosts[(step / corpus.tasks.size()) % corpus.hosts.size()];
@@ -123,6 +129,10 @@ std::string mutate_frame(const Corpus& corpus,
   json.value(host);
   json.end_array();
   json.end_object();
+  if (full_report) {
+    json.key("full_report");
+    json.value(true);
+  }
   json.end_object();
   return std::move(json).str();
 }
@@ -236,6 +246,8 @@ struct Numbers {
   double cold_us = 0.0;
   double hit_us = 0.0;
   double hit_speedup = 0.0;
+  double full_hit_us = 0.0;
+  double full_hit_ratio = 0.0;
   bool identical = false;
   long long requests = 0;
   double throughput_rps = 0.0;
@@ -276,9 +288,20 @@ void run_experiment() {
                               "hit-" + std::to_string(i),
                               static_cast<std::size_t>(i))));
   }
+  // The same deltas with the full per-communicator report: same
+  // propagation work, plus the report the fragment cache serves.
+  std::vector<double> full_hit_us;
+  for (int i = 0; i < kHitSamples; ++i) {
+    full_hit_us.push_back(handle_us(
+        service, mutate_frame(corpus, fingerprint,
+                              "full-hit-" + std::to_string(i),
+                              static_cast<std::size_t>(i), true)));
+  }
   g_numbers.cold_us = median_us(cold_us);
   g_numbers.hit_us = median_us(hit_us);
   g_numbers.hit_speedup = g_numbers.cold_us / g_numbers.hit_us;
+  g_numbers.full_hit_us = median_us(full_hit_us);
+  g_numbers.full_hit_ratio = g_numbers.full_hit_us / g_numbers.hit_us;
 
   // -- determinism: 1-worker vs 8-worker response streams.
   const std::vector<std::string> log =
@@ -356,6 +379,9 @@ void print_table() {
               g_numbers.hit_us, kHitSamples);
   std::printf("  hit speedup:             %10.1fx (floor: 100x)\n",
               g_numbers.hit_speedup);
+  std::printf("  full-report delta:       %10.1f us (median of %d, "
+              "%.1fx the compact delta)\n",
+              g_numbers.full_hit_us, kHitSamples, g_numbers.full_hit_ratio);
   std::printf("  1-thread vs 8-thread response streams: %s\n",
               g_numbers.identical ? "IDENTICAL" : "DIVERGED");
   std::printf("  socket throughput: %.0f req/s over %lld requests\n",
@@ -371,6 +397,8 @@ bool write_json(const std::string& path) {
   json.number("cold_us", g_numbers.cold_us);
   json.number("hit_us", g_numbers.hit_us);
   json.number("hit_speedup", g_numbers.hit_speedup);
+  json.number("full_hit_us", g_numbers.full_hit_us);
+  json.number("full_hit_ratio", g_numbers.full_hit_ratio);
   json.integer("identical", g_numbers.identical ? 1 : 0);
   json.integer("requests", g_numbers.requests);
   json.number("throughput_rps", g_numbers.throughput_rps);

@@ -54,6 +54,11 @@ LINT_WALL_BUDGET_MS = 250.0
 # started rebuilding or re-serializing the world).
 SERVICE_HIT_SPEEDUP_FLOOR = 100.0
 SERVICE_HIT_BUDGET_US = 400.0
+# A delta analyze with "full_report": true, over the compact delta, both
+# measured in the same run. The resident fragment cache re-encodes only
+# the rows whose SRG changed, recorded at ~2.7x; encoding every
+# communicator per request measured 28-34x on the same workload.
+SERVICE_FULL_HIT_RATIO_CEILING = 8.0
 
 
 def check_synthesis(fresh, base):
@@ -279,6 +284,13 @@ def check_service(fresh, base):
             f"{base['hit_speedup']:.1f}x): the delta analyze path lost "
             "its incremental advantage")
 
+    if fresh["full_hit_ratio"] > SERVICE_FULL_HIT_RATIO_CEILING:
+        failures.append(
+            f"full_hit_ratio: {fresh['full_hit_ratio']:.1f}x > ceiling "
+            f"{SERVICE_FULL_HIT_RATIO_CEILING}x (baseline "
+            f"{base['full_hit_ratio']:.1f}x): full-report deltas are "
+            "re-encoding rows the delta did not change")
+
     if fresh["hit_us"] > SERVICE_HIT_BUDGET_US:
         failures.append(
             f"hit_us: {fresh['hit_us']:.1f} > budget "
@@ -289,12 +301,16 @@ def check_service(fresh, base):
           f"tasks={fresh['tasks']} "
           f"cold={fresh['cold_us']:.0f}us hit={fresh['hit_us']:.1f}us "
           f"speedup={fresh['hit_speedup']:.0f}x "
+          f"full_hit={fresh['full_hit_us']:.1f}us "
+          f"({fresh['full_hit_ratio']:.1f}x) "
           f"throughput={fresh['throughput_rps']:.0f}rps "
           f"p99={fresh['p99_us']:.0f}us")
     print(f"baseline: identical={base['identical']} "
           f"tasks={base['tasks']} "
           f"cold={base['cold_us']:.0f}us hit={base['hit_us']:.1f}us "
           f"speedup={base['hit_speedup']:.0f}x "
+          f"full_hit={base['full_hit_us']:.1f}us "
+          f"({base['full_hit_ratio']:.1f}x) "
           f"throughput={base['throughput_rps']:.0f}rps "
           f"p99={base['p99_us']:.0f}us")
     return failures

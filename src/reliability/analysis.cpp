@@ -167,32 +167,67 @@ std::string to_json(const ReliabilityReport& report) {
   return std::move(json).str();
 }
 
-void write_json(const ReliabilityReport& report, JsonWriter& json) {
+void write_verdict_json(const CommunicatorVerdict& verdict,
+                        JsonWriter& json) {
+  json.begin_object();
+  json.key("name");
+  json.value(verdict.name);
+  json.key("srg");
+  json.value(verdict.srg);
+  json.key("lrc");
+  json.value(verdict.lrc);
+  json.key("satisfied");
+  json.value(verdict.satisfied);
+  json.key("slack");
+  json.value(verdict.slack);
+  json.end_object();
+}
+
+namespace {
+
+/// The document envelope around the communicators array; `write_rows`
+/// emits the array's elements.
+template <typename WriteRows>
+void write_report_envelope(bool reliable, bool memory_free, bool cycle_safe,
+                           WriteRows&& write_rows, JsonWriter& json) {
   json.begin_object();
   json.key("reliable");
-  json.value(report.reliable);
+  json.value(reliable);
   json.key("memory_free");
-  json.value(report.memory_free);
+  json.value(memory_free);
   json.key("cycle_safe");
-  json.value(report.cycle_safe);
+  json.value(cycle_safe);
   json.key("communicators");
   json.begin_array();
-  for (const CommunicatorVerdict& verdict : report.verdicts) {
-    json.begin_object();
-    json.key("name");
-    json.value(verdict.name);
-    json.key("srg");
-    json.value(verdict.srg);
-    json.key("lrc");
-    json.value(verdict.lrc);
-    json.key("satisfied");
-    json.value(verdict.satisfied);
-    json.key("slack");
-    json.value(verdict.slack);
-    json.end_object();
-  }
+  write_rows();
   json.end_array();
   json.end_object();
+}
+
+}  // namespace
+
+void write_json(const ReliabilityReport& report, JsonWriter& json) {
+  write_report_envelope(
+      report.reliable, report.memory_free, report.cycle_safe,
+      [&] {
+        for (const CommunicatorVerdict& verdict : report.verdicts) {
+          write_verdict_json(verdict, json);
+        }
+      },
+      json);
+}
+
+void write_json(bool reliable, bool memory_free, bool cycle_safe,
+                std::span<const std::string> verdict_fragments,
+                JsonWriter& json) {
+  write_report_envelope(
+      reliable, memory_free, cycle_safe,
+      [&] {
+        for (const std::string& fragment : verdict_fragments) {
+          json.raw(fragment);
+        }
+      },
+      json);
 }
 
 Result<ReliabilityReport> report_from_json(const JsonValue& document) {

@@ -82,6 +82,16 @@ struct ReliabilityReport {
 [[nodiscard]] std::string to_json(const ReliabilityReport& report);
 /// Same document written into an enclosing writer (lrtd frame payloads).
 void write_json(const ReliabilityReport& report, JsonWriter& json);
+/// One communicators[] entry of that document: the only definition of a
+/// verdict's bytes.
+void write_verdict_json(const CommunicatorVerdict& verdict, JsonWriter& json);
+/// The same document assembled from pre-encoded write_verdict_json
+/// fragments (one per communicator, CommId order): byte-identical to
+/// write_json over the report they encode. For callers that keep each
+/// row's bytes across reports (lrtd's resident workloads).
+void write_json(bool reliable, bool memory_free, bool cycle_safe,
+                std::span<const std::string> verdict_fragments,
+                JsonWriter& json);
 /// Exact inverse of write_json/to_json; verdict comm ids are recovered
 /// from the array order (verdicts are emitted in CommId order).
 [[nodiscard]] Result<ReliabilityReport> report_from_json(

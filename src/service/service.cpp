@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -151,6 +152,15 @@ struct Service::Resident {
   /// or the last FromImplementation failed; mutate requests then rebuild.
   std::optional<reliability::SrgEvaluator> evaluator;
 
+  /// Full-report cache: one reliability::write_verdict_json fragment per
+  /// communicator (CommId order) and the bit pattern of the SRG each
+  /// encodes. A row's other fields are its fixed name and LRC or
+  /// functions of its SRG, so a changed bit pattern is the only
+  /// staleness signal. Empty until the first full-report hit after
+  /// prime(), which drops it.
+  std::vector<std::string> report_rows;
+  std::vector<std::uint64_t> report_row_srg_bits;
+
   /// Records `impl` as the resident implementation after a fully
   /// successful cold analysis. Call with `mutex` held.
   void prime(const impl::Implementation& impl) {
@@ -169,31 +179,41 @@ struct Service::Resident {
     } else {
       evaluator.reset();
     }
+    report_rows.clear();
+    report_row_srg_bits.clear();
     has_impl = true;
   }
 
-  /// The analyze() report reconstructed from the evaluator's state —
-  /// field for field the make_report computation over bit-identical
-  /// SRGs (the SrgEvaluator contract), so hit responses match cold ones.
-  [[nodiscard]] reliability::ReliabilityReport report() const {
+  /// Writes the analyze() report of the evaluator's state, re-encoding
+  /// only the rows whose SRG changed since the last call. The bytes are
+  /// reliability::write_json's over make_report of bit-identical SRGs
+  /// (the SrgEvaluator contract), so hit responses match cold ones.
+  /// Call with `mutex` held and `evaluator` present.
+  void write_report(JsonWriter& json) {
     const spec::Specification& spec = *workload.spec;
-    reliability::ReliabilityReport out;
-    out.memory_free = memory_free;
-    out.cycle_safe = cycle_safe;
-    out.reliable = true;
-    const auto count = static_cast<spec::CommId>(spec.communicators().size());
-    for (spec::CommId c = 0; c < count; ++c) {
+    const std::size_t count = spec.communicators().size();
+    const bool fresh = report_rows.size() != count;
+    report_rows.resize(count);
+    report_row_srg_bits.resize(count);
+    for (std::size_t c = 0; c < count; ++c) {
+      const auto comm = static_cast<spec::CommId>(c);
+      const double srg = evaluator->srg(comm);
+      const auto bits = std::bit_cast<std::uint64_t>(srg);
+      if (!fresh && bits == report_row_srg_bits[c]) continue;
       reliability::CommunicatorVerdict verdict;
-      verdict.comm = c;
-      verdict.name = spec.communicator(c).name;
-      verdict.srg = evaluator->srg(c);
-      verdict.lrc = spec.communicator(c).lrc;
+      verdict.comm = comm;
+      verdict.name = spec.communicator(comm).name;
+      verdict.srg = srg;
+      verdict.lrc = spec.communicator(comm).lrc;
       verdict.slack = verdict.srg - verdict.lrc;
-      verdict.satisfied = evaluator->satisfied(c);
-      out.reliable = out.reliable && verdict.satisfied;
-      out.verdicts.push_back(std::move(verdict));
+      verdict.satisfied = evaluator->satisfied(comm);
+      JsonWriter row;
+      reliability::write_verdict_json(verdict, row);
+      report_rows[c] = std::move(row).str();
+      report_row_srg_bits[c] = bits;
     }
-    return out;
+    reliability::write_json(evaluator->all_lrcs_satisfied(), memory_free,
+                            cycle_safe, report_rows, json);
   }
 };
 
@@ -216,6 +236,20 @@ obs::Sink* Service::sink() const {
 std::size_t Service::resident_count() const {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   return residents_.size();
+}
+
+std::optional<std::size_t> Service::resident_trail_mark(
+    std::uint64_t fingerprint) const {
+  std::shared_ptr<Resident> resident;
+  {
+    const std::lock_guard<std::mutex> lock(cache_mutex_);
+    const auto it = residents_.find(fingerprint);
+    if (it == residents_.end()) return std::nullopt;
+    resident = it->second.resident;
+  }
+  const std::lock_guard<std::mutex> lock(resident->mutex);
+  if (!resident->evaluator.has_value()) return std::nullopt;
+  return resident->evaluator->mark();
 }
 
 void Service::touch_locked(std::uint64_t fingerprint) {
@@ -321,7 +355,10 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
   }
 
   obs::Sink* s = sink();
+  // The cold path's report (kept only when requested), or — on a hit —
+  // whether to write the resident's cached report.
   std::optional<reliability::ReliabilityReport> report;
+  bool report_from_cache = false;
   bool reliable = false;
   std::int64_t unsatisfied = 0;
   // Sets the verdict fields (and drops the report unless requested)
@@ -433,6 +470,8 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
       // Hit: one dirty-cone re-propagation; bit-identical to the cold
       // path by the SrgEvaluator contract.
       resident->evaluator->set_task_hosts(*task, host_ids);
+      // The service never rolls back, so the undo trail would only grow.
+      resident->evaluator->discard_trail();
       resident->hosts[t] = host_ids;
       for (auto& mapping : resident->impl_config.task_mappings) {
         if (mapping.task == task_name) {
@@ -440,20 +479,18 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
           break;
         }
       }
-      if (include_report) {
-        summarize(resident->report());
-      } else {
-        // The fast path's whole cost: the propagation already done plus
-        // O(|cset|) flag reads — no report construction at all.
-        const reliability::SrgEvaluator& evaluator = *resident->evaluator;
-        reliable = evaluator.all_lrcs_satisfied();
-        unsatisfied = 0;
-        const auto count =
-            static_cast<spec::CommId>(spec.communicators().size());
-        for (spec::CommId c = 0; c < count; ++c) {
-          if (!evaluator.satisfied(c)) ++unsatisfied;
-        }
+      // The fast path's whole cost: the propagation already done plus
+      // O(|cset|) flag reads. A full report adds O(|cset|) SRG compares
+      // and re-encodes only the rows the propagation changed.
+      const reliability::SrgEvaluator& evaluator = *resident->evaluator;
+      reliable = evaluator.all_lrcs_satisfied();
+      unsatisfied = 0;
+      const auto count =
+          static_cast<spec::CommId>(spec.communicators().size());
+      for (spec::CommId c = 0; c < count; ++c) {
+        if (!evaluator.satisfied(c)) ++unsatisfied;
       }
+      report_from_cache = include_report;
       if (s != nullptr) s->counter_add("service.analyze_hits");
     } else {
       // Re-execution change or no evaluator (non-cycle-safe spec):
@@ -483,7 +520,10 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
   json.value(unsatisfied);
   if (report.has_value()) {
     json.key("report");
-    json.raw(reliability::to_json(*report));
+    reliability::write_json(*report, json);
+  } else if (report_from_cache) {
+    json.key("report");
+    resident->write_report(json);
   }
   json.end_object();
   return std::move(json).str();

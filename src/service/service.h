@@ -90,7 +90,15 @@ class Service {
   [[nodiscard]] std::size_t resident_count() const;
 
  private:
+  /// Test-only reader of private state (tests/service_test.cpp).
+  friend class ServiceTestPeer;
+
   struct Resident;
+
+  /// mark() of the resident evaluator for `fingerprint`, or nullopt when
+  /// the workload is not resident or has no evaluator. Read by tests.
+  [[nodiscard]] std::optional<std::size_t> resident_trail_mark(
+      std::uint64_t fingerprint) const;
 
   [[nodiscard]] std::int64_t now_ms() const;
   [[nodiscard]] obs::Sink* sink() const;

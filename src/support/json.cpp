@@ -66,7 +66,8 @@ void JsonWriter::value(std::string_view text) {
 void JsonWriter::value(double number) {
   comma_if_needed();
   if (std::isfinite(number)) {
-    out_ += format_double(number);
+    char buffer[kFormatDoubleMax];
+    out_.append(buffer, format_double(number, buffer));
   } else {
     out_ += "null";  // JSON has no Inf/NaN
   }
@@ -406,11 +407,18 @@ Result<std::int64_t> json_to_int(const JsonValue& value,
     return InvalidArgumentError(std::string(where) + " must be a number");
   }
   const double number = value.number;
-  // Exactly representable int64 doubles only; 2^63 itself overflows.
-  if (number != std::floor(number) || number < -9.2233720368547758e18 ||
-      number >= 9.2233720368547758e18) {
+  if (number != std::floor(number)) {
     return InvalidArgumentError(std::string(where) +
                                 " must be an integer");
+  }
+  // parse_json stores numbers as doubles, so a literal beyond 2^53 - 1
+  // may already have been rounded to a neighbouring integer: refuse it
+  // rather than act on a value the sender never wrote.
+  if (std::fabs(number) > kJsonMaxExactInt) {
+    return InvalidArgumentError(
+        std::string(where) + " must be an integer of magnitude <= " +
+        std::to_string(kJsonMaxExactInt) +
+        " (larger JSON numbers are not exact)");
   }
   return static_cast<std::int64_t>(number);
 }

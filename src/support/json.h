@@ -62,9 +62,9 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
-/// A parsed JSON document node. Numbers are doubles (all the JSON this
-/// library writes stays within double precision); object members keep
-/// their source order.
+/// A parsed JSON document node. Numbers are doubles, so integers are
+/// exact only up to kJsonMaxExactInt (json_to_int refuses larger ones);
+/// object members keep their source order.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -110,8 +110,13 @@ struct JsonValue {
 [[nodiscard]] Result<bool> json_member_bool(const JsonValue& object,
                                             std::string_view key,
                                             std::string_view where);
-/// A number that must be integral (JsonValue stores doubles; exact for
-/// the int64 range this library emits).
+/// Largest integer magnitude a JSON number carries exactly: 2^53 - 1.
+/// JsonValue stores numbers as doubles, so larger integer literals may
+/// have been rounded by parse_json.
+inline constexpr std::int64_t kJsonMaxExactInt = (std::int64_t{1} << 53) - 1;
+
+/// A number that must be integral with magnitude <= kJsonMaxExactInt;
+/// kInvalidArgument otherwise (larger values may have been rounded).
 [[nodiscard]] Result<std::int64_t> json_to_int(const JsonValue& value,
                                                std::string_view where);
 /// Verifies `object` carries `"schema": version`.

@@ -1,7 +1,7 @@
 #include "support/strings.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 
 namespace lrt {
 
@@ -57,10 +57,18 @@ bool is_identifier(std::string_view name) {
   return true;
 }
 
+std::size_t format_double(double value, char (&buffer)[kFormatDoubleMax]) {
+  // Defined as printf's "%.12g" in the C locale, without printf's format
+  // parsing or locale lookups.
+  const std::to_chars_result done =
+      std::to_chars(buffer, buffer + kFormatDoubleMax, value,
+                    std::chars_format::general, 12);
+  return static_cast<std::size_t>(done.ptr - buffer);
+}
+
 std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.12g", value);
-  return buffer;
+  char buffer[kFormatDoubleMax];
+  return std::string(buffer, format_double(value, buffer));
 }
 
 }  // namespace lrt

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -20,6 +21,7 @@
 
 #include "arch/arch_json.h"
 #include "arch/architecture.h"
+#include "gen/workload.h"
 #include "impl/impl_json.h"
 #include "impl/implementation.h"
 #include "lrt/lrt.h"
@@ -32,9 +34,20 @@
 #include "spec/spec_json.h"
 #include "spec/specification.h"
 #include "support/json.h"
+#include "support/rng.h"
 #include "support/status.h"
 
 namespace lrt::service {
+
+/// Reads Service internals that have no place on the public surface.
+class ServiceTestPeer {
+ public:
+  static std::optional<std::size_t> trail_mark(const Service& service,
+                                               std::uint64_t fingerprint) {
+    return service.resident_trail_mark(fingerprint);
+  }
+};
+
 namespace {
 
 bool contains(std::string_view haystack, std::string_view needle) {
@@ -374,6 +387,247 @@ TEST(Service, AnalyzeNeedsExactlyOneOfImplementationAndMutate) {
 }
 
 // ---------------------------------------------------------------------------
+// Resident state under long delta streams: the undo trail and the
+// full-report fragment cache.
+
+TEST(Service, ResidentUndoTrailStaysEmptyAcrossDeltas) {
+  Service service;
+  const std::string cold = handle_ok(
+      service, make_frame("c1", "analyze",
+                          cold_analyze_extra(make_impl_config({"h1", "h2"}))));
+  const std::string fp = response_fingerprint(cold);
+  const std::optional<std::uint64_t> key = parse_fingerprint(fp);
+  ASSERT_TRUE(key.has_value());
+  const std::vector<std::vector<std::string>> host_sets = {
+      {"h1"}, {"h2"}, {"h1", "h2"}};
+  for (int i = 0; i < 60; ++i) {
+    handle_ok(service,
+              make_frame("m" + std::to_string(i), "analyze",
+                         mutate_extra(fp, "filter",
+                                      host_sets[static_cast<std::size_t>(i) %
+                                                host_sets.size()],
+                                      i % 4 == 0)));
+  }
+  // Every delta changed an SRG; none of them may be kept for undo.
+  EXPECT_EQ(ServiceTestPeer::trail_mark(service, *key), 0u);
+}
+
+/// A generated workload mirrored outside the service: the configs, the
+/// implementation the service should hold, and the models to analyze it.
+struct MirroredWorkload {
+  spec::SpecificationConfig spec_config;
+  arch::ArchitectureConfig arch_config;
+  impl::ImplementationConfig impl_config;
+  lrt::Workload models;
+  std::string fingerprint;
+};
+
+MirroredWorkload make_mirrored_workload(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  gen::WorkloadOptions options;
+  options.min_layers = 10;
+  options.max_layers = 10;
+  options.min_tasks_per_layer = 20;
+  options.max_tasks_per_layer = 20;
+  options.min_hosts = 4;
+  options.max_hosts = 4;
+  auto generated = gen::random_workload(rng, options);
+  EXPECT_TRUE(generated.ok()) << generated.status().to_string();
+  // The mirror holds the configs as the service decodes them: numbers
+  // on the wire carry 12 significant digits.
+  MirroredWorkload mirror;
+  auto spec_doc =
+      parse_json(spec::to_json(generated->specification->to_config()));
+  auto arch_doc = parse_json(arch::to_json(generated->architecture_config));
+  EXPECT_TRUE(spec_doc.ok() && arch_doc.ok());
+  auto spec_config = spec::specification_config_from_json(*spec_doc);
+  auto arch_config = arch::architecture_config_from_json(*arch_doc);
+  EXPECT_TRUE(spec_config.ok() && arch_config.ok());
+  mirror.spec_config = std::move(spec_config).value();
+  mirror.arch_config = std::move(arch_config).value();
+  mirror.impl_config = generated->implementation_config;
+  auto models = lrt::build_workload(mirror.spec_config, mirror.arch_config);
+  EXPECT_TRUE(models.ok()) << models.status().to_string();
+  mirror.models = std::move(models).value();
+  mirror.fingerprint = format_fingerprint(mirror.models.fingerprint());
+  return mirror;
+}
+
+/// The ok frame a correct service returns for `config`: the facade's
+/// one-shot analysis, summarized and (optionally) embedded whole.
+std::string expected_analyze_frame(const MirroredWorkload& mirror,
+                                   const impl::ImplementationConfig& config,
+                                   std::string_view id, bool full_report) {
+  auto impl = lrt::build_implementation(mirror.models, config);
+  EXPECT_TRUE(impl.ok()) << impl.status().to_string();
+  auto report = lrt::analyze(mirror.models, *impl);
+  EXPECT_TRUE(report.ok()) << report.status().to_string();
+  std::int64_t unsatisfied = 0;
+  for (const reliability::CommunicatorVerdict& v : report->verdicts) {
+    if (!v.satisfied) ++unsatisfied;
+  }
+  JsonWriter json;
+  json.begin_object();
+  json.key("fingerprint");
+  json.value(mirror.fingerprint);
+  json.key("reliable");
+  json.value(report->reliable);
+  json.key("unsatisfied_comms");
+  json.value(unsatisfied);
+  if (full_report) {
+    json.key("report");
+    json.raw(reliability::to_json(*report));
+  }
+  json.end_object();
+  return make_ok_frame(id, std::move(json).str());
+}
+
+std::string mutate_frame(std::string_view id, const MirroredWorkload& mirror,
+                         const std::string& task,
+                         const std::vector<std::string>& hosts,
+                         std::optional<int> reexecutions, bool full_report) {
+  JsonWriter json;
+  json.begin_object();
+  json.key("schema");
+  json.value(kWireSchemaVersion);
+  json.key("id");
+  json.value(id);
+  json.key("verb");
+  json.value("analyze");
+  json.key("fingerprint");
+  json.value(mirror.fingerprint);
+  json.key("mutate");
+  json.begin_object();
+  json.key("task");
+  json.value(task);
+  json.key("hosts");
+  json.begin_array();
+  for (const std::string& host : hosts) json.value(host);
+  json.end_array();
+  if (reexecutions.has_value()) {
+    json.key("reexecutions");
+    json.value(*reexecutions);
+  }
+  json.end_object();
+  json.key("full_report");
+  json.value(full_report);
+  json.end_object();
+  return std::move(json).str();
+}
+
+std::string cold_frame(std::string_view id, const MirroredWorkload& mirror) {
+  return make_frame(id, "analyze",
+                    "\"spec\":" + spec::to_json(mirror.spec_config) +
+                        ",\"arch\":" + arch::to_json(mirror.arch_config) +
+                        ",\"implementation\":" +
+                        impl::to_json(mirror.impl_config));
+}
+
+TEST(Service, RandomizedDeltaStreamMatchesFacadeReports) {
+  // Three 200-task workloads over two resident slots: fingerprint
+  // addressing regularly finds its workload evicted and re-primes it
+  // with a cold analyze of the mirrored config.
+  std::vector<MirroredWorkload> mirrors;
+  for (std::uint64_t seed = 501; seed <= 503; ++seed) {
+    mirrors.push_back(make_mirrored_workload(seed));
+  }
+  ServiceOptions options;
+  options.max_resident_workloads = 2;
+  Service service(options);
+  Xoshiro256 rng(2008);
+
+  int full_reports = 0;
+  int rebuilds = 0;
+  int rejections = 0;
+  int reprimes = 0;
+  for (int step = 0; step < 240; ++step) {
+    MirroredWorkload& mirror =
+        mirrors[static_cast<std::size_t>(rng.next_below(mirrors.size()))];
+    const std::string id = "s" + std::to_string(step);
+    auto& mappings = mirror.impl_config.task_mappings;
+    auto& mapping = mappings[static_cast<std::size_t>(
+        rng.next_below(mappings.size()))];
+    const auto& all_hosts = mirror.arch_config.hosts;
+    const std::uint64_t action = rng.next_below(10);
+
+    if (action == 0) {
+      // Rejected mutation: unknown host, duplicate host, or no hosts.
+      // The mirror stays as it is, and so must the resident state.
+      std::vector<std::string> bad_hosts;
+      switch (rng.next_below(3)) {
+        case 0: bad_hosts = {"no_such_host"}; break;
+        case 1: bad_hosts = {all_hosts[0].name, all_hosts[0].name}; break;
+        default: break;
+      }
+      const ServiceReply reply = service.handle(
+          mutate_frame(id, mirror, mapping.task, bad_hosts, std::nullopt,
+                       true));
+      EXPECT_TRUE(contains(reply.frame, "\"ok\":false")) << reply.frame;
+      ++rejections;
+      continue;
+    }
+
+    // A nonempty host subset, in random order (the service sorts).
+    std::vector<std::string> hosts;
+    for (const auto& host : all_hosts) {
+      if (rng.bernoulli(0.5)) hosts.push_back(host.name);
+    }
+    if (hosts.empty()) {
+      hosts.push_back(
+          all_hosts[static_cast<std::size_t>(rng.next_below(all_hosts.size()))]
+              .name);
+    }
+    if (hosts.size() > 1 && rng.bernoulli(0.5)) {
+      std::swap(hosts.front(), hosts.back());
+    }
+    std::optional<int> reexecutions;
+    if (action == 1) {
+      // Re-execution change: the rebuild path, which re-primes.
+      reexecutions = mapping.reexecutions == 0 ? 1 : 0;
+      ++rebuilds;
+    }
+    const bool full_report = action <= 5;
+
+    std::string frame = mutate_frame(id, mirror, mapping.task, hosts,
+                                     reexecutions, full_report);
+    ServiceReply reply = service.handle(frame);
+    if (contains(reply.frame, "\"code\":\"kNotFound\"")) {
+      // Evicted: re-prime with the mirrored implementation, then retry
+      // the delta under a fresh id.
+      const std::string primed = handle_ok(
+          service, cold_frame(id + "-prime", mirror));
+      EXPECT_EQ(primed,
+                expected_analyze_frame(mirror, mirror.impl_config,
+                                       id + "-prime", true));
+      ++reprimes;
+      frame = mutate_frame(id + "-retry", mirror, mapping.task, hosts,
+                           reexecutions, full_report);
+      reply = service.handle(frame);
+    }
+    std::vector<std::string> sorted_hosts;
+    for (const auto& host : all_hosts) {
+      if (std::find(hosts.begin(), hosts.end(), host.name) != hosts.end()) {
+        sorted_hosts.push_back(host.name);
+      }
+    }
+    mapping.hosts = sorted_hosts;
+    if (reexecutions.has_value()) mapping.reexecutions = *reexecutions;
+
+    const std::string reply_id =
+        contains(frame, "-retry\"") ? id + "-retry" : id;
+    ASSERT_EQ(reply.frame, expected_analyze_frame(mirror, mirror.impl_config,
+                                                  reply_id, full_report))
+        << "step " << step << " of workload " << mirror.fingerprint;
+    if (full_report) ++full_reports;
+  }
+  // The seeded stream exercises every path it claims to.
+  EXPECT_GT(full_reports, 60);
+  EXPECT_GT(rebuilds, 10);
+  EXPECT_GT(rejections, 10);
+  EXPECT_GT(reprimes, 5);
+}
+
+// ---------------------------------------------------------------------------
 // Idempotent replay.
 
 TEST(Service, ReplayedIdReturnsCachedBytesWithoutReExecuting) {
@@ -649,7 +903,16 @@ TEST(Server, ShedsBeyondPendingBoundWithoutPoisoningState) {
   ASSERT_TRUE(flood.ok());
 
   std::thread slow([&] {
-    auto response = client->call(validate_frame);
+    // The validate itself is shed when it arrives while a flood ping is
+    // pending; kUnavailable replies are never cached, so resending the
+    // same id is the advertised retry.
+    Result<std::string> response = client->call(validate_frame);
+    for (int attempt = 0; attempt < 1000 && response.ok() &&
+                          contains(*response, "\"code\":\"kUnavailable\"");
+         ++attempt) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      response = client->call(validate_frame);
+    }
     ASSERT_TRUE(response.ok());
     EXPECT_TRUE(contains(*response, "\"ok\":true")) << *response;
     EXPECT_TRUE(contains(*response, "\"validation\"")) << *response;
