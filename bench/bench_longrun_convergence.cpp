@@ -81,32 +81,25 @@ struct SparseSystem {
 
 /// Coprime periods 999 and 1000: grid step 1, hyperperiod 999000, but
 /// only ~2000 activation instants per period — the regime the DES core
-/// exists for (a dense workload keeps both engines near parity). With
-/// `groups` > 1 the workload is replicated onto host-disjoint islands,
-/// which the parallel engine partitions into one LP per island.
-SparseSystem make_sparse_system(int groups = 1) {
+/// exists for (a dense workload keeps both engines near parity).
+SparseSystem make_sparse_system() {
   spec::SpecificationConfig config;
   config.name = "sparse_des";
+  config.communicators.push_back(
+      {"c0a", spec::ValueType::kReal, spec::Value::real(0.0), 999, 0.5});
+  config.communicators.push_back(
+      {"c0b", spec::ValueType::kReal, spec::Value::real(0.0), 1000, 0.5});
+  spec::SpecificationConfig::TaskConfig task;
+  task.name = "task0";
+  task.inputs = {{"c0a", 1}};
+  task.outputs = {{"c0b", 1}};
+  config.tasks.push_back(std::move(task));
   arch::ArchitectureConfig arch_config;
+  arch_config.hosts.push_back({"h0", 0.99});
+  arch_config.sensors.push_back({"s0", 0.99});
   impl::ImplementationConfig impl_config;
-  for (int g = 0; g < groups; ++g) {
-    const std::string suffix = std::to_string(g);
-    config.communicators.push_back({"c" + suffix + "a",
-                                    spec::ValueType::kReal,
-                                    spec::Value::real(0.0), 999, 0.5});
-    config.communicators.push_back({"c" + suffix + "b",
-                                    spec::ValueType::kReal,
-                                    spec::Value::real(0.0), 1000, 0.5});
-    spec::SpecificationConfig::TaskConfig task;
-    task.name = "task" + suffix;
-    task.inputs = {{"c" + suffix + "a", 1}};
-    task.outputs = {{"c" + suffix + "b", 1}};
-    config.tasks.push_back(std::move(task));
-    arch_config.hosts.push_back({"h" + suffix, 0.99});
-    arch_config.sensors.push_back({"s" + suffix, 0.99});
-    impl_config.task_mappings.push_back({"task" + suffix, {"h" + suffix}});
-    impl_config.sensor_bindings.push_back({"c" + suffix + "a", "s" + suffix});
-  }
+  impl_config.task_mappings.push_back({"task0", {"h0"}});
+  impl_config.sensor_bindings.push_back({"c0a", "s0"});
 
   SparseSystem system;
   system.spec = std::make_unique<spec::Specification>(
@@ -129,19 +122,15 @@ struct EngineRun {
   std::int64_t ticks_skipped = 0;
   std::int64_t queue_allocations = 0;
   std::int64_t queue_resizes = 0;
-  std::int64_t lp_count = 0;
-  std::int64_t null_messages = 0;
 };
 
 EngineRun run_engine(const impl::Implementation& impl,
-                     sim::SimulationOptions::Engine engine,
-                     int threads = 0) {
+                     sim::SimulationOptions::Engine engine) {
   obs::MetricsRegistry metrics;
   obs::Sink sink(&metrics, nullptr);
   sim::NullEnvironment env;
   sim::SimulationOptions options;
   options.engine = engine;
-  options.threads = threads;
   options.periods = kSparsePeriods;
   options.sink = &sink;
   const auto start = std::chrono::steady_clock::now();
@@ -161,8 +150,6 @@ EngineRun run_engine(const impl::Implementation& impl,
   run.ticks_skipped = snapshot.counter("sim.ticks_skipped");
   run.queue_allocations = snapshot.counter("sim.queue_allocations");
   run.queue_resizes = snapshot.counter("sim.queue_resizes");
-  run.lp_count = snapshot.counter("sim.lp_count");
-  run.null_messages = snapshot.counter("sim.null_messages");
   return run;
 }
 
@@ -189,40 +176,6 @@ EngineComparison compare_engines() {
 /// Simulated grid ticks covered per second of one core.
 double horizon_per_core_second(const EngineComparison& cmp, double wall_ms) {
   return static_cast<double>(cmp.horizon_ticks) / (wall_ms / 1e3);
-}
-
-// --- the parallel engine on a sharded sparse workload ---
-
-constexpr int kParallelGroups = 4;
-constexpr int kParallelThreads = 4;
-
-struct ParallelComparison {
-  spec::Time horizon_ticks = 0;
-  EngineRun tick;
-  EngineRun event;     ///< sequential event engine, same workload
-  EngineRun parallel;  ///< kParallelEvent at kParallelThreads
-  bool identical = false;
-};
-
-/// Four host-disjoint sparse islands: the partition yields one LP per
-/// island, so the parallel engine's speedup over the sequential event
-/// core is pure scaling overhead (thread pool, per-LP calendars) —
-/// there are no inter-LP channels to throttle it.
-ParallelComparison compare_parallel() {
-  const SparseSystem system = make_sparse_system(kParallelGroups);
-  const spec::Time step = harmonic_step(*system.spec);
-  ParallelComparison cmp;
-  cmp.horizon_ticks = kSparsePeriods * system.spec->hyperperiod() / step;
-  cmp.tick = run_engine(*system.impl, sim::SimulationOptions::Engine::kTick);
-  cmp.event =
-      run_engine(*system.impl, sim::SimulationOptions::Engine::kEvent);
-  cmp.parallel = run_engine(*system.impl,
-                            sim::SimulationOptions::Engine::kParallelEvent,
-                            kParallelThreads);
-  cmp.identical =
-      sim::to_json(cmp.tick.result) == sim::to_json(cmp.parallel.result) &&
-      sim::to_json(cmp.event.result) == sim::to_json(cmp.parallel.result);
-  return cmp;
 }
 
 void print_table() {
@@ -295,33 +248,6 @@ void print_table() {
               static_cast<long long>(cmp.event.queue_allocations),
               static_cast<long long>(cmp.event.queue_resizes));
 
-  const ParallelComparison par = compare_parallel();
-  std::printf("\nparallel event engine (%d sparse islands, %d threads, "
-              "horizon %lld ticks):\n",
-              kParallelGroups, kParallelThreads,
-              static_cast<long long>(par.horizon_ticks));
-  std::printf("%-10s %-12s %-18s %-10s %-14s\n", "engine", "wall ms",
-              "horizon/core-s", "LPs", "null msgs");
-  std::printf("%-10s %-12.2f %-18.3g %-10s %-14s\n", "tick",
-              par.tick.wall_ms,
-              static_cast<double>(par.horizon_ticks) /
-                  (par.tick.wall_ms / 1e3),
-              "-", "-");
-  std::printf("%-10s %-12.2f %-18.3g %-10s %-14s\n", "event",
-              par.event.wall_ms,
-              static_cast<double>(par.horizon_ticks) /
-                  (par.event.wall_ms / 1e3),
-              "-", "-");
-  std::printf("%-10s %-12.2f %-18.3g %-10lld %-14lld\n", "parallel",
-              par.parallel.wall_ms,
-              static_cast<double>(par.horizon_ticks) /
-                  (par.parallel.wall_ms / 1e3),
-              static_cast<long long>(par.parallel.lp_count),
-              static_cast<long long>(par.parallel.null_messages));
-  std::printf("parallel vs event %.2fx, vs tick %.1fx, results %s\n",
-              par.event.wall_ms / std::max(par.parallel.wall_ms, 1e-6),
-              par.tick.wall_ms / std::max(par.parallel.wall_ms, 1e-6),
-              par.identical ? "identical" : "DIVERGED");
 }
 
 bool write_json(const std::string& path) {
@@ -346,22 +272,6 @@ bool write_json(const std::string& path) {
               horizon_per_core_second(cmp, cmp.event.wall_ms));
   json.integer("queue_allocations", cmp.event.queue_allocations);
   json.integer("queue_resizes", cmp.event.queue_resizes);
-
-  const ParallelComparison par = compare_parallel();
-  json.integer("parallel_groups", kParallelGroups);
-  json.integer("parallel_threads", kParallelThreads);
-  json.integer("hardware_concurrency",
-               static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-  json.integer("parallel_identical", par.identical ? 1 : 0);
-  json.integer("parallel_lp_count", par.parallel.lp_count);
-  json.integer("parallel_events", par.parallel.events);
-  json.number("parallel_tick_wall_ms", par.tick.wall_ms);
-  json.number("parallel_event_wall_ms", par.event.wall_ms);
-  json.number("parallel_wall_ms", par.parallel.wall_ms);
-  json.number("parallel_speedup_vs_event",
-              par.event.wall_ms / std::max(par.parallel.wall_ms, 1e-6));
-  json.number("parallel_speedup_vs_tick",
-              par.tick.wall_ms / std::max(par.parallel.wall_ms, 1e-6));
   return json.write(path);
 }
 
@@ -412,23 +322,6 @@ void BM_SparseHorizonThroughput(benchmark::State& state) {
 BENCHMARK(BM_SparseHorizonThroughput)
     ->Arg(static_cast<int>(sim::SimulationOptions::Engine::kTick))
     ->Arg(static_cast<int>(sim::SimulationOptions::Engine::kEvent))
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ParallelHorizonThroughput(benchmark::State& state) {
-  const SparseSystem system = make_sparse_system(kParallelGroups);
-  sim::NullEnvironment env;
-  for (auto _ : state) {
-    sim::SimulationOptions options;
-    options.engine = sim::SimulationOptions::Engine::kParallelEvent;
-    options.threads = static_cast<int>(state.range(0));
-    options.periods = 2;
-    auto result = sim::simulate(*system.impl, env, options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * 2 *
-                          system.spec->hyperperiod());
-}
-BENCHMARK(BM_ParallelHorizonThroughput)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

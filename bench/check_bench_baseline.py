@@ -22,10 +22,7 @@ script serves every bench that writes a --json summary:
       below the recorded value (machine noise headroom), and
       event_wall_ms must fit an absolute budget;
     * calendar queue: steady-state allocations must stay near the
-      baseline (the bucket/slot pools keep them flat);
-    * parallel engine: bit-identity with tick/event and the LP count are
-      enforced unconditionally; the >= 2x speedup floor over the
-      sequential event core applies only on runners with >= 4 cores.
+      baseline (the bucket/slot pools keep them flat).
 
 Wall budgets are generous (~50-100x the recorded times) since CI machines
 are slower and noisier than the baseline recorder.
@@ -40,11 +37,6 @@ COUNTER_TOLERANCE = 1.10
 SYNTHESIS_WALL_BUDGET_MS = 250.0
 LONGRUN_SPEEDUP_FLOOR = 10.0
 LONGRUN_WALL_BUDGET_MS = 250.0
-# Parallel engine floor vs the sequential event core on the 4-island
-# workload; only enforceable when the runner actually has >= 4 cores.
-PARALLEL_SPEEDUP_FLOOR = 2.0
-PARALLEL_MIN_CORES = 4
-PARALLEL_WALL_BUDGET_MS = 500.0
 UPDATE_WALL_BUDGET_MS = 250.0
 LINT_WALL_BUDGET_MS = 250.0
 # The lrtd acceptance bar: a cache-hit delta analyze must stay two
@@ -128,52 +120,14 @@ def check_longrun(fresh, base):
             f"{limit:.0f} (baseline {base['queue_allocations']} +10%): "
             "the event queue's bucket/slot pooling regressed")
 
-    # Parallel engine rules. Identity and the LP decomposition are
-    # machine-independent (the conservative protocol is deterministic
-    # for any thread count, even on one core); the speedup floor only
-    # binds when the runner has enough cores to express it.
-    if fresh["parallel_identical"] != 1:
-        failures.append(
-            "parallel_identical: the parallel engine DIVERGED from the "
-            "tick/event engines — sharding broke bit-identity")
-    if fresh["parallel_lp_count"] != base["parallel_lp_count"]:
-        failures.append(
-            f"parallel_lp_count: {fresh['parallel_lp_count']} != baseline "
-            f"{base['parallel_lp_count']} (partition changed)")
-    if fresh["parallel_events"] != base["parallel_events"]:
-        failures.append(
-            f"parallel_events: {fresh['parallel_events']} != baseline "
-            f"{base['parallel_events']} (event schedule changed)")
-    if fresh["parallel_wall_ms"] > PARALLEL_WALL_BUDGET_MS:
-        failures.append(
-            f"parallel_wall_ms: {fresh['parallel_wall_ms']:.3f} > budget "
-            f"{PARALLEL_WALL_BUDGET_MS} ms")
-    cores = fresh.get("hardware_concurrency", 0)
-    if cores >= PARALLEL_MIN_CORES:
-        if fresh["parallel_speedup_vs_event"] < PARALLEL_SPEEDUP_FLOOR:
-            failures.append(
-                f"parallel_speedup_vs_event: "
-                f"{fresh['parallel_speedup_vs_event']:.2f}x < floor "
-                f"{PARALLEL_SPEEDUP_FLOOR}x on {cores} cores: the "
-                "parallel engine lost its scaling advantage")
-    else:
-        print(f"note: {cores} core(s) < {PARALLEL_MIN_CORES} — parallel "
-              "speedup floor not enforced (identity still checked)")
-
     print(f"fresh:    identical={fresh['identical']} "
           f"events={fresh['events']} "
           f"speedup={fresh['speedup']:.1f}x "
-          f"event_wall={fresh['event_wall_ms']:.3f}ms "
-          f"parallel={fresh['parallel_identical']}/"
-          f"{fresh['parallel_lp_count']}lp/"
-          f"{fresh['parallel_speedup_vs_event']:.2f}x")
+          f"event_wall={fresh['event_wall_ms']:.3f}ms")
     print(f"baseline: identical={base['identical']} "
           f"events={base['events']} "
           f"speedup={base['speedup']:.1f}x "
-          f"event_wall={base['event_wall_ms']:.3f}ms "
-          f"parallel={base['parallel_identical']}/"
-          f"{base['parallel_lp_count']}lp/"
-          f"{base['parallel_speedup_vs_event']:.2f}x")
+          f"event_wall={base['event_wall_ms']:.3f}ms")
     return failures
 
 

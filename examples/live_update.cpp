@@ -211,8 +211,7 @@ int main(int argc, char** argv) {
   parser.set_positional_usage("[periods]");
   std::string engine_name = "tick";
   parser.add_string("--engine", &engine_name,
-                    "simulation engine for the story run: "
-                    "tick | event | parallel");
+                    "simulation engine for the story run: tick | event");
   obs::SessionOptions obs_options;
   obs::add_session_flags(parser, &obs_options);
   if (const Status status = parser.parse(argc, argv); !status.ok()) {
@@ -227,18 +226,14 @@ int main(int argc, char** argv) {
   const auto& args = parser.positionals();
   const std::int64_t periods =
       args.size() > 0 ? std::atoll(args[0].c_str()) : 40;
-  if (engine_name != "tick" && engine_name != "event" &&
-      engine_name != "parallel") {
-    std::fprintf(stderr,
-                 "unknown --engine '%s' (want tick | event | parallel)\n",
+  if (engine_name != "tick" && engine_name != "event") {
+    std::fprintf(stderr, "unknown --engine '%s' (want tick | event)\n",
                  engine_name.c_str());
     return 2;
   }
-  const auto story_engine =
-      engine_name == "event" ? sim::SimulationOptions::Engine::kEvent
-      : engine_name == "parallel"
-          ? sim::SimulationOptions::Engine::kParallelEvent
-          : sim::SimulationOptions::Engine::kTick;
+  const auto story_engine = engine_name == "event"
+                                ? sim::SimulationOptions::Engine::kEvent
+                                : sim::SimulationOptions::Engine::kTick;
   const obs::ScopedSession session(obs_options);
   bool ok = true;
 

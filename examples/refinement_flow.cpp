@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
                    "design-by-refinement walkthrough (paper Section 3)");
   std::string engine_name = "tick";
   parser.add_string("--engine", &engine_name,
-                    "simulation engine for step 4: tick | event | parallel");
+                    "simulation engine for step 4: tick | event");
   obs::SessionOptions obs_options;
   obs::add_session_flags(parser, &obs_options);
   const Status status = parser.parse(argc, argv);
@@ -103,10 +103,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s", parser.usage().c_str());
     return 2;
   }
-  if (engine_name != "tick" && engine_name != "event" &&
-      engine_name != "parallel") {
-    std::fprintf(stderr,
-                 "unknown --engine '%s' (want tick | event | parallel)\n",
+  if (engine_name != "tick" && engine_name != "event") {
+    std::fprintf(stderr, "unknown --engine '%s' (want tick | event)\n",
                  engine_name.c_str());
     return 2;
   }
@@ -168,9 +166,7 @@ int main(int argc, char** argv) {
   // refinement guarantees extend to — either engine, same semantics.
   sim::SimulationOptions run;
   run.engine = engine_name == "event" ? sim::SimulationOptions::Engine::kEvent
-               : engine_name == "parallel"
-                   ? sim::SimulationOptions::Engine::kParallelEvent
-                   : sim::SimulationOptions::Engine::kTick;
+                                      : sim::SimulationOptions::Engine::kTick;
   run.periods = 200;
   sim::NullEnvironment env;
   const auto simulated = sim::simulate(*concrete_sys.impl, env, run);

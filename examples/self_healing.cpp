@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
   parser.set_positional_usage("[trials] [periods] [report.json]");
   std::string engine_name = "tick";
   parser.add_string("--engine", &engine_name,
-                    "simulation engine: tick | event | parallel "
-                    "(bit-identical)");
+                    "simulation engine: tick | event (bit-identical)");
   obs::SessionOptions obs_options;
   obs::add_session_flags(parser, &obs_options);
   if (const Status status = parser.parse(argc, argv); !status.ok()) {
@@ -82,18 +81,14 @@ int main(int argc, char** argv) {
   const std::int64_t periods =
       args.size() > 1 ? std::atoll(args[1].c_str()) : 400;
   const std::string report_path = args.size() > 2 ? args[2] : "";
-  if (engine_name != "tick" && engine_name != "event" &&
-      engine_name != "parallel") {
-    std::fprintf(stderr,
-                 "unknown --engine '%s' (want tick | event | parallel)\n",
+  if (engine_name != "tick" && engine_name != "event") {
+    std::fprintf(stderr, "unknown --engine '%s' (want tick | event)\n",
                  engine_name.c_str());
     return 2;
   }
-  const auto engine =
-      engine_name == "event" ? sim::SimulationOptions::Engine::kEvent
-      : engine_name == "parallel"
-          ? sim::SimulationOptions::Engine::kParallelEvent
-          : sim::SimulationOptions::Engine::kTick;
+  const auto engine = engine_name == "event"
+                          ? sim::SimulationOptions::Engine::kEvent
+                          : sim::SimulationOptions::Engine::kTick;
   const obs::ScopedSession session(obs_options);
   bool ok = true;
 

@@ -573,10 +573,9 @@ Result<std::string> Service::do_validate(const JsonValue& body) {
       const impl::Implementation impl,
       lrt::build_implementation(resident->workload, std::move(config)));
   sim::MonteCarloOptions options;
-  // One thread in and under each campaign: the service worker pool is
-  // the parallelism; nesting pools would oversubscribe.
+  // One thread per campaign: the service worker pool is the parallelism;
+  // nesting pools would oversubscribe.
   options.threads = 1;
-  options.simulation.threads = 1;
   if (const JsonValue* trials = body.find("trials")) {
     LRT_ASSIGN_OR_RETURN(options.trials,
                          json_to_int(*trials, "request.trials"));

@@ -52,15 +52,6 @@ class Environment {
   [[nodiscard]] virtual AdvanceGranularity advance_granularity() const {
     return AdvanceGranularity::kEveryTick;
   }
-
-  /// Whether the parallel event engine may shard a run over this
-  /// environment. True promises: read_sensor() is a pure function of
-  /// (comm, now) — several logical processes may call it concurrently and
-  /// must see identical values — and write_actuator()/advance() are
-  /// no-ops (no physical state to advance). Stateful plants (e.g. the 3TS
-  /// integrator) keep the safe default; SimulationOptions::kParallelEvent
-  /// then coalesces to the sequential event engine.
-  [[nodiscard]] virtual bool parallel_safe() const { return false; }
 };
 
 /// Environment returning a constant for every sensor and discarding
@@ -75,7 +66,6 @@ class NullEnvironment final : public Environment {
   [[nodiscard]] AdvanceGranularity advance_granularity() const override {
     return AdvanceGranularity::kCoalesce;
   }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
 };
 
 }  // namespace lrt::sim

@@ -176,11 +176,6 @@ Result<ValidationReport> MonteCarloRunner::run(
   pool.parallel_for(options_.trials, [&](std::int64_t trial) {
     SimulationOptions trial_options = options_.simulation;
     trial_options.faults.seed = seeds[static_cast<std::size_t>(trial)];
-    // Nesting precedence: a multi-threaded trial pool already saturates
-    // the cores, so per-trial engine parallelism is forced off — K trial
-    // threads times L LP threads would oversubscribe the machine. The
-    // engine budget passes through only for single-threaded campaigns.
-    if (pool.size() > 1) trial_options.threads = 1;
     if (trial_options.sink == nullptr) trial_options.sink = sink;
     std::unique_ptr<Environment> owned_env =
         options_.environment_factory ? options_.environment_factory()

@@ -47,12 +47,8 @@ struct MonteCarloOptions {
   /// field name across all entry-point options).
   std::uint64_t seed = kDefaultRngSeed;
   /// Total parallelism including the calling thread; 0 = one per core.
-  /// Precedence over the inner engine: when the trial pool resolves to
-  /// more than one thread, every trial runs with
-  /// SimulationOptions::threads = 1 (the outer pool already saturates
-  /// the cores; nesting the parallel event engine's LP pool inside it
-  /// would oversubscribe). SimulationOptions::threads therefore only
-  /// takes effect in single-threaded campaigns (threads == 1).
+  /// This pool is the only parallelism in a campaign: each trial's
+  /// simulation runs sequentially on its worker thread.
   unsigned threads = 0;
   /// Observability sink for campaign counters ("sim.trials", failure
   /// causes) and per-trial spans/timing histograms. Null falls back to

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/event_runtime.h"
-#include "sim/parallel_runtime.h"
 #include "sim/runtime_core.h"
 #include "support/json.h"
 #include "support/math_util.h"
@@ -114,8 +113,6 @@ Result<SimulationResult> simulate_time_dependent(
   switch (options.engine) {
     case SimulationOptions::Engine::kEvent:
       return detail::run_event_engine(phases, env, options);
-    case SimulationOptions::Engine::kParallelEvent:
-      return detail::run_parallel_engine(phases, env, options);
     case SimulationOptions::Engine::kTick:
       break;
   }

@@ -15,9 +15,9 @@ namespace {
 
 // Draw-site tags: every stochastic decision is a pure function of
 // (seed, site, time, entity ids[, attempt]) via keyed_bernoulli, so the
-// outcome never depends on which engine — or which shard — evaluates it,
-// or in what order. This is the property that lets the parallel engine's
-// shards consume "the same randomness" as the sequential engines.
+// outcome never depends on which engine evaluates it, or in what order.
+// This is what lets the event engine skip instants the tick engine visits
+// and still consume "the same randomness".
 constexpr std::uint64_t kSensorDraw = 1;
 constexpr std::uint64_t kInvocationDraw = 2;
 constexpr std::uint64_t kBroadcastDraw = 3;
@@ -25,8 +25,7 @@ constexpr std::uint64_t kBroadcastDraw = 3;
 }  // namespace
 
 RuntimeCore::RuntimeCore(std::span<const impl::Implementation> phases,
-                         Environment& env, const SimulationOptions& options,
-                         const ShardSpec* shard)
+                         Environment& env, const SimulationOptions& options)
     : phases_(phases),
       spec_(&phases.front().specification()),
       arch_(phases.front().architecture()),
@@ -34,30 +33,11 @@ RuntimeCore::RuntimeCore(std::span<const impl::Implementation> phases,
       options_(options),
       monitor_(options.monitor),
       sink_(obs::resolve_sink(options.sink)),
-      tracer_(sink_ != nullptr ? sink_->tracer() : nullptr),
-      shard_(shard) {}
+      tracer_(sink_ != nullptr ? sink_->tracer() : nullptr) {}
 
 Status RuntimeCore::init() {
   const std::size_t num_comms = spec_->communicators().size();
   const std::size_t num_hosts = arch_.hosts().size();
-  if (shard_ != nullptr) {
-    owned_tasks_ = shard_->tasks;
-    owned_comms_ = shard_->comms;
-    owned_hosts_ = shard_->hosts;
-  } else {
-    owned_tasks_.resize(spec_->tasks().size());
-    for (std::size_t t = 0; t < owned_tasks_.size(); ++t) {
-      owned_tasks_[t] = static_cast<TaskId>(t);
-    }
-    owned_comms_.resize(num_comms);
-    for (std::size_t c = 0; c < num_comms; ++c) {
-      owned_comms_[c] = static_cast<CommId>(c);
-    }
-    owned_hosts_.resize(num_hosts);
-    for (std::size_t h = 0; h < num_hosts; ++h) {
-      owned_hosts_[h] = static_cast<HostId>(h);
-    }
-  }
   hyperperiod_ = spec_->hyperperiod();
   // The harmonic grid, derived once at Build time (gcd of the periods).
   step_ = spec_->base_period();
@@ -72,11 +52,6 @@ Status RuntimeCore::init() {
     for (const auto& comm : spec_->communicators()) {
       host_values.push_back(comm.init);
     }
-  }
-  canonical_.clear();
-  canonical_.reserve(num_comms);
-  for (const auto& comm : spec_->communicators()) {
-    canonical_.push_back(comm.init);
   }
   host_up_.assign(num_hosts, true);
 
@@ -106,20 +81,6 @@ Status RuntimeCore::init() {
       return OutOfRangeError("host event references host " +
                              std::to_string(event.host));
     }
-  }
-  if (shard_ != nullptr) {
-    // Validation above ran over the full plan (every shard reports the
-    // same configuration errors); execution only needs the owned hosts'
-    // events. host_up_at() folds this same filtered list, which is exact
-    // because foreign hosts' availability is never read here: commits of
-    // owned communicators only inspect owned source hosts.
-    std::vector<bool> owned(num_hosts, false);
-    for (const HostId h : owned_hosts_) {
-      owned[static_cast<std::size_t>(h)] = true;
-    }
-    std::erase_if(host_events_, [&](const FaultPlan::HostEvent& event) {
-      return !owned[static_cast<std::size_t>(event.host)];
-    });
   }
 
   accumulators_.assign(num_comms, {});
@@ -189,8 +150,7 @@ Status RuntimeCore::tick(Time now) {
   // paper reasons about, and coarse enough to stay cheap when enabled.
   // Period indices restart at a hot-swap epoch (the incoming
   // specification's own period count).
-  if (tracer_ != nullptr && boundary && now > epoch_ &&
-      (shard_ == nullptr || shard_->primary)) {
+  if (tracer_ != nullptr && boundary && now > epoch_) {
     const std::int64_t end_us = tracer_->now_us();
     tracer_->complete(
         "sim", "period", period_start_us_, end_us,
@@ -271,8 +231,6 @@ Status RuntimeCore::install_swap(Time now, const impl::Implementation* next) {
   // a rollback resumes them). A spliced communicator starts at its init
   // value; its first access instant is one period after the swap.
   std::vector<std::vector<Value>> values(num_hosts);
-  std::vector<Value> canonical;
-  canonical.reserve(num_comms);
   std::vector<ReliabilityAccumulator> accumulators(num_comms);
   std::vector<ReliabilityAccumulator> update_accums(num_comms);
   for (auto& host_values : values) host_values.reserve(num_comms);
@@ -284,14 +242,12 @@ Status RuntimeCore::install_swap(Time now, const impl::Implementation* next) {
       for (std::size_t h = 0; h < num_hosts; ++h) {
         values[h].push_back(values_[h][os]);
       }
-      canonical.push_back(canonical_[os]);
       accumulators[cs] = accumulators_[os];
       update_accums[cs] = update_accums_[os];
     } else {
       for (std::size_t h = 0; h < num_hosts; ++h) {
         values[h].push_back(comm.init);
       }
-      canonical.push_back(comm.init);
       if (const auto stashed = retired_accums_.find(comm.name);
           stashed != retired_accums_.end()) {
         accumulators[cs] = stashed->second.first;
@@ -310,22 +266,8 @@ Status RuntimeCore::install_swap(Time now, const impl::Implementation* next) {
     }
   }
   values_ = std::move(values);
-  canonical_ = std::move(canonical);
   accumulators_ = std::move(accumulators);
   update_accums_ = std::move(update_accums);
-
-  // The swap reshapes the task/communicator id spaces; a sharded core
-  // never swaps (the parallel engine coalesces monitored runs), so the
-  // owned lists are simply the full new ranges.
-  assert(shard_ == nullptr && "hot-swap inside a sharded core");
-  owned_tasks_.resize(to.tasks().size());
-  for (std::size_t t = 0; t < owned_tasks_.size(); ++t) {
-    owned_tasks_[t] = static_cast<TaskId>(t);
-  }
-  owned_comms_.resize(num_comms);
-  for (std::size_t c = 0; c < num_comms; ++c) {
-    owned_comms_[c] = static_cast<CommId>(c);
-  }
 
   // Latches reset to bottom: every LET window is closed at a boundary, so
   // each input re-latches before its reader's next release.
@@ -395,22 +337,17 @@ void RuntimeCore::advance_environment(Time from, Time to) {
 
 SimulationResult RuntimeCore::finish() {
   const std::size_t num_comms = spec_->communicators().size();
-  const bool primary = shard_ == nullptr || shard_->primary;
-  if (tracer_ != nullptr && options_.periods > 0 && primary) {
+  if (tracer_ != nullptr && options_.periods > 0) {
     tracer_->complete(
         "sim", "period", period_start_us_, tracer_->now_us(),
         {{"period", static_cast<double>(options_.periods - 1)}});
   }
   // Counters are flushed once per run, so the hot loop never pays for
   // metrics and the totals are identical for any tracing state — and,
-  // being derived from the result alone, for either engine. Sharded
-  // cores flush their partial sums (they add up to the sequential
-  // totals); the run-level pair comes from the primary shard only.
+  // being derived from the result alone, for either engine.
   if (sink_ != nullptr) {
-    if (primary) {
-      sink_->counter_add("sim.runs");
-      sink_->counter_add("sim.periods", options_.periods);
-    }
+    sink_->counter_add("sim.runs");
+    sink_->counter_add("sim.periods", options_.periods);
     sink_->counter_add("sim.invocations", result_.invocations);
     sink_->counter_add("sim.invocation_failures",
                        result_.invocation_failures);
@@ -446,10 +383,6 @@ void RuntimeCore::apply_host_events(Time now) {
 }
 
 void RuntimeCore::commit_updates(Time now) {
-  // Channel input first: commits of foreign-owned communicators (winners
-  // voted by their owning shard) due at or before this instant.
-  apply_foreign_commits(now);
-
   // Task-written communicators: vote over the broadcast replica outputs.
   const auto pending_it = pending_.find(now);
   std::vector<PendingWrite> arrived;
@@ -459,7 +392,8 @@ void RuntimeCore::commit_updates(Time now) {
   }
 
   const Time rel_now = now - epoch_;
-  for (const CommId c : owned_comms_) {
+  for (CommId c = 0; c < static_cast<CommId>(spec_->communicators().size());
+       ++c) {
     const spec::Communicator& comm = spec_->communicator(c);
     const bool on_grid = rel_now % comm.period == 0;
     if (!on_grid) continue;
@@ -537,29 +471,11 @@ void RuntimeCore::commit_updates(Time now) {
                           static_cast<int>(candidates.size()));
     }
   }
-
-  // Shadow sensors: foreign-owned input communicators read by an owned
-  // task. The owner's value computation is replayed exactly — the fault
-  // draw is keyed by (now, comm) and a parallel_safe environment returns
-  // identical readings on every shard — so no channel is needed; all
-  // counters, accumulators, and trace events stay with the owner.
-  if (shard_ != nullptr) {
-    for (const CommId c : shard_->shadow_comms) {
-      const spec::Communicator& comm = spec_->communicator(c);
-      if (rel_now % comm.period != 0) continue;
-      const bool failed =
-          options_.faults.inject_sensor_faults &&
-          keyed_bernoulli(
-              1.0 - arch_.sensor(phase_at(now).sensor_for(c)).reliability,
-              options_.faults.seed, kSensorDraw, now, c);
-      set_all_replications(
-          c, failed ? Value::bottom() : env_.read_sensor(comm.name, now));
-    }
-  }
 }
 
 void RuntimeCore::record_and_actuate(Time now) {
-  for (const CommId c : owned_comms_) {
+  for (CommId c = 0; c < static_cast<CommId>(spec_->communicators().size());
+       ++c) {
     const spec::Communicator& comm = spec_->communicator(c);
     if ((now - epoch_) % comm.period != 0) continue;
     const Value& value = committed(c);
@@ -572,11 +488,9 @@ void RuntimeCore::record_and_actuate(Time now) {
       env_.write_actuator(comm.name, now, value);
     }
     // Verify all replications agree (reliable atomic broadcast invariant).
-    // Each shard checks its own hosts' rows against the canonical value;
-    // unsharded, that is every row (row 0 trivially matches).
-    for (const HostId h : owned_hosts_) {
-      if (!(values_[static_cast<std::size_t>(h)][static_cast<std::size_t>(c)] ==
-            value)) {
+    // Row 0 is checked too: a NaN value disagrees with itself on every host.
+    for (const auto& host_values : values_) {
+      if (!(host_values[static_cast<std::size_t>(c)] == value)) {
         ++result_.vote_divergences;
       }
     }
@@ -585,7 +499,7 @@ void RuntimeCore::record_and_actuate(Time now) {
 
 void RuntimeCore::latch_inputs(Time now) {
   const Time rel = (now - epoch_) % hyperperiod_;
-  for (const TaskId t : owned_tasks_) {
+  for (TaskId t = 0; t < static_cast<TaskId>(spec_->tasks().size()); ++t) {
     const spec::Task& task = spec_->task(t);
     for (std::size_t j = 0; j < task.inputs.size(); ++j) {
       const spec::PortRef& port = task.inputs[j];
@@ -603,7 +517,7 @@ void RuntimeCore::latch_inputs(Time now) {
 
 void RuntimeCore::execute_tasks(Time now) {
   const Time rel = (now - epoch_) % hyperperiod_;
-  for (const TaskId t : owned_tasks_) {
+  for (TaskId t = 0; t < static_cast<TaskId>(spec_->tasks().size()); ++t) {
     if (spec_->read_time(t) != rel) continue;
     const spec::Task& task = spec_->task(t);
 
@@ -732,7 +646,7 @@ void RuntimeCore::deliver_outputs(TaskId task_id, HostId host,
 
 void RuntimeCore::advance_processors(Time from, Time to) {
   if (!options_.model_execution_time) return;
-  for (const HostId h : owned_hosts_) {
+  for (HostId h = 0; h < static_cast<HostId>(arch_.hosts().size()); ++h) {
     const auto hs = static_cast<std::size_t>(h);
     if (!host_up_[hs]) continue;  // a downed host freezes (fail-silent)
     auto& queue = run_queues_[hs];
@@ -758,38 +672,6 @@ void RuntimeCore::advance_processors(Time from, Time to) {
       queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(best));
     }
   }
-}
-
-void RuntimeCore::stage_foreign_commit(Time commit_time, CommId comm,
-                                       const Value& winner) {
-  foreign_pending_[commit_time].emplace_back(comm, winner);
-}
-
-void RuntimeCore::apply_foreign_commits(Time now) {
-  while (!foreign_pending_.empty() &&
-         foreign_pending_.begin()->first <= now) {
-    for (const auto& [comm, winner] : foreign_pending_.begin()->second) {
-      set_all_replications(comm, winner);
-    }
-    foreign_pending_.erase(foreign_pending_.begin());
-  }
-}
-
-Value RuntimeCore::resolve_commit_winner(CommId comm, Time commit_time) const {
-  std::vector<Value> candidates;
-  if (const auto it = pending_.find(commit_time); it != pending_.end()) {
-    for (const PendingWrite& write : it->second) {
-      if (write.comm != comm) continue;
-      // Same fail-silence rule as commit_updates, evaluated against the
-      // statically-known availability at the commit instant.
-      if (!host_up_at(write.source, commit_time)) continue;
-      candidates.push_back(write.value);
-    }
-  }
-  // The real divergence accounting happens when the owner's tick reaches
-  // the commit instant; this early resolution must stay side-effect free.
-  std::int64_t scratch = 0;
-  return vote(candidates, options_.voting_policy, &scratch);
 }
 
 }  // namespace lrt::sim::detail

@@ -50,37 +50,13 @@ struct PendingWrite {
   spec::Value value;
 };
 
-/// Restriction of a RuntimeCore to one logical process's share of the
-/// workload (parallel engine only; a null shard means the whole workload).
-/// Ownership is exclusive: every task, communicator, and host belongs to
-/// exactly one shard, and a shard executes the canonical tick body over
-/// its ids only — so per-run totals are the sums of the shards' and the
-/// per-communicator statistics come from the single owner. All id lists
-/// must be ascending (the iteration order of the unsharded loops).
-struct ShardSpec {
-  std::vector<spec::TaskId> tasks;   ///< tasks executed here
-  std::vector<spec::CommId> comms;   ///< commits + accounting here
-  /// Foreign-owned *sensor* communicators read by an owned task: their
-  /// value is recomputed locally at each due instant (the keyed fault
-  /// draw and a parallel_safe environment make the replay exact), with
-  /// counters and accumulators left to the owner.
-  std::vector<spec::CommId> shadow_comms;
-  std::vector<arch::HostId> hosts;   ///< host events + EDF processors here
-  /// Exactly one shard per run emits the run-level counters (sim.runs,
-  /// sim.periods) and the per-period trace spans.
-  bool primary = true;
-};
-
 class RuntimeCore {
  public:
   /// `phases` must be nonempty and share one specification/architecture;
   /// iteration k runs under phases[k mod N]. All references must outlive
-  /// the core. A non-null `shard` restricts the core to that slice of the
-  /// workload; sharded cores never host a monitor (the parallel engine
-  /// coalesces monitored runs) and never hot-swap.
+  /// the core.
   RuntimeCore(std::span<const impl::Implementation> phases, Environment& env,
-              const SimulationOptions& options,
-              const ShardSpec* shard = nullptr);
+              const SimulationOptions& options);
 
   /// Validates the configuration and builds the initial state. Must be
   /// called (and succeed) before any other method.
@@ -136,33 +112,6 @@ class RuntimeCore {
   [[nodiscard]] const obs::Sink* sink() const { return sink_; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
-  /// Relative write offsets (pi_c * i per writer output port, duplicates
-  /// possible) of `comm`; a commit is due at epoch-relative times
-  /// w + k * hyperperiod for each offset w. The parallel engine derives
-  /// cross-LP commit schedules and lookahead from these.
-  [[nodiscard]] const std::vector<spec::Time>& write_offsets(
-      spec::CommId comm) const {
-    return write_instants_[static_cast<std::size_t>(comm)];
-  }
-
-  /// Stages a commit of a foreign-owned communicator (winner already
-  /// voted by the owning shard) for application at `commit_time`. The
-  /// next tick at or after `commit_time` folds it into the replications
-  /// before latching — the owner performs all accounting.
-  void stage_foreign_commit(spec::Time commit_time, spec::CommId comm,
-                            const spec::Value& winner);
-
-  /// Resolves the vote for an owned communicator's commit at `commit_time`
-  /// WITHOUT executing the instant: candidates are peeked from the pending
-  /// broadcasts and filtered by the statically-known host availability at
-  /// `commit_time`. Valid once every task execution that can contribute
-  /// has run — i.e. once the core has completed some instant t with
-  /// commit_time <= t + lookahead(comm). Pure: counters, accumulators,
-  /// and replications are untouched; the later tick at `commit_time`
-  /// recomputes the identical winner with full accounting.
-  [[nodiscard]] spec::Value resolve_commit_winner(spec::CommId comm,
-                                                  spec::Time commit_time) const;
-
  private:
   /// Installs `next` (possibly targeting a different specification) at
   /// boundary `now`: rebases the grid epoch, carries communicator state
@@ -180,37 +129,17 @@ class RuntimeCore {
                        spec::Time period_start, spec::Time available_at,
                        const std::vector<spec::Value>& outputs);
 
-  /// The replication-consensus value of `comm` (hosts always agree; the
-  /// canonical copy is shard-independent — it tracks every commit, owned
-  /// or staged, even when host 0 lives in another shard).
+  /// The replication-consensus value of `comm` (hosts always agree, and
+  /// set_all_replications writes every row, so row 0 stands for all).
   [[nodiscard]] const spec::Value& committed(spec::CommId comm) const {
-    return canonical_[static_cast<std::size_t>(comm)];
+    return values_.front()[static_cast<std::size_t>(comm)];
   }
 
   void set_all_replications(spec::CommId comm, const spec::Value& value) {
-    canonical_[static_cast<std::size_t>(comm)] = value;
-    for (const arch::HostId h : owned_hosts_) {
-      values_[static_cast<std::size_t>(h)][static_cast<std::size_t>(comm)] =
-          value;
+    for (auto& host_values : values_) {
+      host_values[static_cast<std::size_t>(comm)] = value;
     }
   }
-
-  /// Host availability at absolute time `future` (>= the last tick),
-  /// folded from the current state and the not-yet-applied scripted
-  /// events — the fault plan is static, so the future is known.
-  [[nodiscard]] bool host_up_at(arch::HostId host, spec::Time future) const {
-    bool up = host_up_[static_cast<std::size_t>(host)];
-    for (std::size_t e = next_host_event_; e < host_events_.size() &&
-                                           host_events_[e].time <= future;
-         ++e) {
-      if (host_events_[e].host == host) up = host_events_[e].up;
-    }
-    return up;
-  }
-
-  /// Applies staged foreign commits with time <= now (the consumer side
-  /// of a cross-shard channel). No-op for unsharded cores.
-  void apply_foreign_commits(spec::Time now);
 
   /// The implementation in force at absolute time `now`: a monitor remap
   /// or hot-swap once installed, otherwise the scheduled phase.
@@ -237,14 +166,6 @@ class RuntimeCore {
   std::int64_t bottom_updates_ = 0;
   /// Mapping installed by the monitor; supersedes phases_ once set.
   const impl::Implementation* override_ = nullptr;
-  /// Null = whole workload. When set, the owned_* lists below are the
-  /// shard's; loops over tasks/comms/hosts iterate them instead of the
-  /// full id ranges (in the same ascending order, so counters and vote
-  /// candidate order match the unsharded run exactly).
-  const ShardSpec* shard_;
-  std::vector<spec::TaskId> owned_tasks_;
-  std::vector<spec::CommId> owned_comms_;
-  std::vector<arch::HostId> owned_hosts_;
 
   spec::Time step_ = 1;
   spec::Time hyperperiod_ = 1;
@@ -258,16 +179,9 @@ class RuntimeCore {
 
   // values_[host][comm]: the communicator replications.
   std::vector<std::vector<spec::Value>> values_;
-  /// The shard-independent committed value per communicator (== every
-  /// owned host's replication row after each commit).
-  std::vector<spec::Value> canonical_;
   std::vector<bool> host_up_;
   std::size_t next_host_event_ = 0;
   std::vector<FaultPlan::HostEvent> host_events_;
-  /// Cross-shard commits staged by the parallel engine, keyed by commit
-  /// time; applied lazily at the next local tick.
-  std::map<spec::Time, std::vector<std::pair<spec::CommId, spec::Value>>>
-      foreign_pending_;
 
   // latched_[host][task][input j]
   std::vector<std::vector<std::vector<spec::Value>>> latched_;

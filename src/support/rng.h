@@ -30,8 +30,8 @@ constexpr std::uint64_t absorb(std::uint64_t state, std::uint64_t word) {
 /// function of (seed, words...), independent of any generator state and
 /// hence of the order draws are made in. The simulation engines key every
 /// fault draw by its site (kind, time, entity, attempt), which is what
-/// lets the parallel engine's shards consume "the same randomness" as the
-/// sequential engines without replaying a shared stream.
+/// lets the event engine skip instants the tick engine visits and still
+/// consume "the same randomness" without replaying a shared stream.
 template <typename... Words>
 constexpr std::uint64_t keyed_bits(std::uint64_t seed, Words... words) {
   std::uint64_t state = absorb(0x243F6A8885A308D3ull, seed);

@@ -2,10 +2,11 @@
 // Engine::kEvent must be bit-identical to Engine::kTick — results, value
 // traces, monitor callback sequences, RNG-driven fault outcomes, obs
 // counters — on randomized workloads, fault plans (including off-grid
-// scripted host events), timed execution, mid-run remaps, the adapt
-// self-healing path, the Monte Carlo runner at several thread counts, and
-// the lrt:: facade. A mismatch writes des-mismatch-<seed>.json next to
-// the binary so CI can upload the failing workload spec as an artifact.
+// scripted host events), host-disjoint multi-group pipelines, timed
+// execution, mid-run remaps, the adapt self-healing path, the Monte Carlo
+// runner at several thread counts, and the lrt:: facade. A mismatch writes
+// des-mismatch-<seed>.json next to the binary so CI can upload the failing
+// workload spec as an artifact.
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -151,6 +152,91 @@ SimulationOptions faulty_options(std::uint64_t seed, Time horizon_hint) {
   return options;
 }
 
+/// G host-disjoint pipeline groups with one-directional data edges:
+///   group g:  sens -> g_c0 -> t1 -> g_c1 -> t2 -> g_c2
+///   bridge g (g>0): reads (g-1)_c2 and the foreign sensor (g-1)_c0,
+///                   writes g_c3.
+/// Every group's tasks are replicated on the group's private host pair,
+/// so voting stays intra-group while data crosses groups: a
+/// multi-component pipeline whose components share no host.
+test::System multi_group_system(int groups) {
+  const Time period = 10;
+  auto cname = [](int g, int k) {
+    return "g" + std::to_string(g) + "_c" + std::to_string(k);
+  };
+  auto tname = [](int g, const char* role) {
+    return "g" + std::to_string(g) + "_" + role;
+  };
+  spec::SpecificationConfig config;
+  config.name = "multigroup";
+  for (int g = 0; g < groups; ++g) {
+    for (int k = 0; k <= 2; ++k) {
+      config.communicators.push_back(test::comm(cname(g, k), period, 0.3));
+    }
+    if (g > 0) {
+      config.communicators.push_back(test::comm(cname(g, 3), period, 0.3));
+    }
+    config.tasks.push_back(
+        test::task(tname(g, "t1"), {{cname(g, 0), 0}}, {{cname(g, 1), 1}}));
+    config.tasks.push_back(
+        test::task(tname(g, "t2"), {{cname(g, 1), 1}}, {{cname(g, 2), 2}}));
+    if (g > 0) {
+      config.tasks.push_back(
+          test::task(tname(g, "bridge"),
+                     {{cname(g - 1, 2), 2}, {cname(g - 1, 0), 2}},
+                     {{cname(g, 3), 3}}));
+    }
+  }
+
+  test::System system;
+  system.spec =
+      std::make_unique<spec::Specification>(test::build_spec(config));
+
+  arch::ArchitectureConfig arch_config;
+  for (int g = 0; g < groups; ++g) {
+    arch_config.hosts.push_back({"h" + std::to_string(2 * g), 0.9});
+    arch_config.hosts.push_back({"h" + std::to_string(2 * g + 1), 0.9});
+  }
+  impl::ImplementationConfig impl_config;
+  for (int g = 0; g < groups; ++g) {
+    const std::vector<std::string> pair = {"h" + std::to_string(2 * g),
+                                           "h" + std::to_string(2 * g + 1)};
+    impl_config.task_mappings.push_back({tname(g, "t1"), pair});
+    impl_config.task_mappings.push_back({tname(g, "t2"), pair});
+    if (g > 0) impl_config.task_mappings.push_back({tname(g, "bridge"), pair});
+    arch_config.sensors.push_back({"sens_" + cname(g, 0), 0.95});
+    impl_config.sensor_bindings.push_back(
+        {cname(g, 0), "sens_" + cname(g, 0)});
+  }
+
+  auto arch_result = arch::Architecture::Build(std::move(arch_config));
+  EXPECT_TRUE(arch_result.ok()) << arch_result.status();
+  system.arch =
+      std::make_unique<arch::Architecture>(std::move(arch_result).value());
+  auto impl_result = impl::Implementation::Build(*system.spec, *system.arch,
+                                                 std::move(impl_config));
+  EXPECT_TRUE(impl_result.ok()) << impl_result.status();
+  system.impl =
+      std::make_unique<impl::Implementation>(std::move(impl_result).value());
+  return system;
+}
+
+/// A fault plan exercising every RNG site plus scripted availability
+/// flips on each group's first host, deliberately off the harmonic grid.
+SimulationOptions multi_group_options(std::uint64_t seed, int groups) {
+  SimulationOptions options;
+  options.periods = 40;
+  options.broadcast_reliability = 0.9;
+  options.faults.seed = seed * 7919 + 1;
+  for (int g = 0; g < groups; ++g) {
+    options.faults.host_events.push_back(
+        {.time = 7 + 13 * g, .host = 2 * g, .up = false});
+    options.faults.host_events.push_back(
+        {.time = 203 + 17 * g, .host = 2 * g, .up = true});
+  }
+  return options;
+}
+
 // --- the differential suites ---
 
 TEST(EventRuntimeDifferential, RandomizedWorkloads) {
@@ -190,6 +276,34 @@ TEST(EventRuntimeDifferential, TimedExecutionMode) {
     NullEnvironment event_env;
     expect_engines_agree(*workload->implementation, tick_env, event_env,
                          options, seed, "timed execution");
+  }
+}
+
+TEST(EventRuntimeDifferential, MultiGroupPipeline) {
+  const int kGroups = 3;
+  test::System system = multi_group_system(kGroups);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SimulationOptions options = multi_group_options(seed, kGroups);
+    for (const auto& comm : system.spec->communicators()) {
+      options.record_values_for.push_back(comm.name);
+    }
+    NullEnvironment tick_env;
+    NullEnvironment event_env;
+    expect_engines_agree(*system.impl, tick_env, event_env, options, seed,
+                         "multi-group pipeline");
+  }
+}
+
+TEST(EventRuntimeDifferential, MultiGroupTimedExecution) {
+  const int kGroups = 3;
+  test::System system = multi_group_system(kGroups);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SimulationOptions options = multi_group_options(seed, kGroups);
+    options.model_execution_time = true;
+    NullEnvironment tick_env;
+    NullEnvironment event_env;
+    expect_engines_agree(*system.impl, tick_env, event_env, options, seed,
+                         "timed groups");
   }
 }
 
