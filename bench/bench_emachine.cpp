@@ -3,10 +3,25 @@
 // of each task is sent to all other hosts. Each host then performs a
 // voting routine") costs broadcast + vote work per replica; this bench
 // measures it as a function of the replication factor.
+//
+// Both front ends run on the tick engine's RuntimeCore, so their cost over
+// it is front-end work only: E-code generation and the table check for
+// the E-machine, parsing, compiling and mode selection for the
+// mode-switching runtime. `--json <path>` writes those two ratios, each
+// measured within one run (emachine_over_tick on the 3TS,
+// switching_over_tick on examples/htl/mode_switching.htl), gated in CI
+// against baselines/BENCH_emachine.json.
+#include <algorithm>
+#include <chrono>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "ecode/emachine.h"
+#include "htl/compiler.h"
+#include "htl/mode_runtime.h"
 #include "plant/three_tank_system.h"
 #include "sim/runtime.h"
 
@@ -56,11 +71,89 @@ ReplSystem replicated(int r) {
   return system;
 }
 
-void print_table() {
-  bench::header("Runtime", "E-machine dispatch rate and voting overhead");
-  std::printf("BM_VotingOverhead/r measures periods/second with the task "
-              "replicated on r of 4 hosts;\nthe slowdown from r=1 to r=4 "
-              "is the voting + broadcast cost of space redundancy.\n");
+// --- front-end cost over the tick engine ---
+
+constexpr std::int64_t kRatioPeriods = 2000;
+constexpr int kRatioRounds = 9;
+
+template <typename Run>
+double wall_ms(Run&& run) {
+  const auto start = std::chrono::steady_clock::now();
+  run();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Median over interleaved rounds of (front end wall / tick wall).
+template <typename Front, typename Tick>
+double median_ratio(Front&& front, Tick&& tick) {
+  std::vector<double> ratios;
+  for (int round = 0; round < kRatioRounds; ++round) {
+    const double tick_ms = wall_ms(tick);
+    ratios.push_back(wall_ms(front) / std::max(tick_ms, 1e-6));
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
+
+struct FrontEndRatios {
+  double emachine_over_tick = 0.0;
+  double switching_over_tick = 0.0;
+  bool emachine_identical = false;
+  std::int64_t switches_taken = 0;
+};
+
+FrontEndRatios measure_front_ends() {
+  FrontEndRatios ratios;
+  sim::NullEnvironment env;
+
+  auto tank = plant::make_three_tank_system({});
+  sim::SimulationOptions options;
+  options.periods = kRatioPeriods;
+  options.actuator_comms = {"u1", "u2"};
+  const impl::Implementation& impl = *tank->implementation;
+  ratios.emachine_identical =
+      sim::to_json(*ecode::run_emachine(impl, env, options)) ==
+      sim::to_json(*sim::simulate(impl, env, options));
+  ratios.emachine_over_tick = median_ratio(
+      [&] { (void)ecode::run_emachine(impl, env, options); },
+      [&] { (void)sim::simulate(impl, env, options); });
+
+  std::ifstream in(LRT_EXAMPLES_HTL_DIR "/mode_switching.htl");
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string source = text.str();
+  // The detector raises `overload`, so the run really switches once.
+  htl::FunctionRegistry functions;
+  functions["sense"] = [](std::span<const spec::Value>) {
+    return std::vector<spec::Value>{spec::Value::boolean(true)};
+  };
+  const auto compiled = htl::compile(source, functions);
+  sim::SimulationOptions switching;
+  switching.periods = kRatioPeriods;
+  const auto once =
+      htl::simulate_with_switching(source, functions, env, switching);
+  ratios.switches_taken = once.ok() ? once->switches_taken : -1;
+  ratios.switching_over_tick = median_ratio(
+      [&] {
+        (void)htl::simulate_with_switching(source, functions, env,
+                                           switching);
+      },
+      [&] { (void)sim::simulate(*compiled->implementation, env, switching); });
+  return ratios;
+}
+
+bool write_json(const std::string& path) {
+  const FrontEndRatios ratios = measure_front_ends();
+  bench::JsonWriter json;
+  json.text("benchmark", "emachine_front_ends");
+  json.integer("periods", kRatioPeriods);
+  json.integer("emachine_identical", ratios.emachine_identical ? 1 : 0);
+  json.integer("switches_taken", ratios.switches_taken);
+  json.number("emachine_over_tick", ratios.emachine_over_tick);
+  json.number("switching_over_tick", ratios.switching_over_tick);
+  return json.write(path);
 }
 
 void BM_VotingOverhead(benchmark::State& state) {
@@ -104,6 +197,27 @@ void BM_DirectRuntime3TS(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectRuntime3TS);
 
+void print_table() {
+  bench::header("Runtime", "E-machine dispatch rate and voting overhead");
+  std::printf("BM_VotingOverhead/r measures periods/second with the task "
+              "replicated on r of 4 hosts;\nthe slowdown from r=1 to r=4 "
+              "is the voting + broadcast cost of space redundancy.\n");
+}
+
+void print_ratios() {
+  print_table();
+  const FrontEndRatios ratios = measure_front_ends();
+  std::printf("\nfront ends over the tick engine (%lld periods, median of "
+              "%d interleaved rounds):\n",
+              static_cast<long long>(kRatioPeriods), kRatioRounds);
+  std::printf("  E-machine / tick   (3TS)               %.3fx  results %s\n",
+              ratios.emachine_over_tick,
+              ratios.emachine_identical ? "identical" : "DIVERGED");
+  std::printf("  switching / tick   (mode_switching)    %.3fx  switches %lld\n",
+              ratios.switching_over_tick,
+              static_cast<long long>(ratios.switches_taken));
+}
+
 }  // namespace
 
-LRT_BENCH_MAIN(print_table)
+LRT_BENCH_MAIN_JSON(print_ratios, write_json)

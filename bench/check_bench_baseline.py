@@ -24,6 +24,14 @@ script serves every bench that writes a --json summary:
     * calendar queue: steady-state allocations must stay near the
       baseline (the bucket/slot pools keep them flat).
 
+  emachine_*   — the E-machine and the mode-switching runtime must stay
+    front ends of the tick engine's RuntimeCore:
+    * identity: the E-machine's 3TS result equals sim::simulate's
+      (emachine_identical == 1), and the switching run takes the
+      baseline's switch count;
+    * performance: each front end's wall time over the tick engine's,
+      measured in the same run, stays under a ceiling.
+
 Wall budgets are generous (~50-100x the recorded times) since CI machines
 are slower and noisier than the baseline recorder.
 
@@ -51,6 +59,15 @@ SERVICE_HIT_BUDGET_US = 400.0
 # the rows whose SRG changed, recorded at ~2.7x; encoding every
 # communicator per request measured 28-34x on the same workload.
 SERVICE_FULL_HIT_RATIO_CEILING = 8.0
+# Front-end wall over the tick engine, measured in one run on the same
+# workload (bench_emachine --json): the E-machine on the 3TS and the
+# mode-switching runtime on examples/htl/mode_switching.htl. Both run on
+# the tick engine's RuntimeCore, so the ratio is front-end work only
+# (E-code generation and check; parse, compile and mode selection),
+# recorded at ~1.01x and ~1.10x. The interpreting E-machine this replaced
+# took 1.14x the tick engine of its day on the same 3TS run (3.08 against
+# 2.71 ms); a front end twice as slow as the core lands near 2x.
+EMACHINE_RATIO_CEILING = 1.3
 
 
 def check_synthesis(fresh, base):
@@ -270,12 +287,41 @@ def check_service(fresh, base):
     return failures
 
 
+def check_emachine(fresh, base):
+    failures = []
+    if fresh["emachine_identical"] != 1:
+        failures.append(
+            "emachine_identical: the E-machine's 3TS result DIVERGED from "
+            "sim::simulate's")
+    if fresh["switches_taken"] != base["switches_taken"]:
+        failures.append(
+            f"switches_taken: {fresh['switches_taken']} != baseline "
+            f"{base['switches_taken']} (mode switching changed)")
+    for key in ("emachine_over_tick", "switching_over_tick"):
+        if fresh[key] > EMACHINE_RATIO_CEILING:
+            failures.append(
+                f"{key}: {fresh[key]:.3f}x > ceiling "
+                f"{EMACHINE_RATIO_CEILING}x (baseline {base[key]:.3f}x): "
+                "a front end stopped being a thin layer over RuntimeCore")
+
+    print(f"fresh:    identical={fresh['emachine_identical']} "
+          f"switches={fresh['switches_taken']} "
+          f"emachine/tick={fresh['emachine_over_tick']:.3f}x "
+          f"switching/tick={fresh['switching_over_tick']:.3f}x")
+    print(f"baseline: identical={base['emachine_identical']} "
+          f"switches={base['switches_taken']} "
+          f"emachine/tick={base['emachine_over_tick']:.3f}x "
+          f"switching/tick={base['switching_over_tick']:.3f}x")
+    return failures
+
+
 RULES = {
     "synthesis": check_synthesis,
     "service": check_service,
     "longrun": check_longrun,
     "update": check_update,
     "lint": check_lint,
+    "emachine": check_emachine,
 }
 
 

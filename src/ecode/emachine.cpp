@@ -1,11 +1,11 @@
 #include "ecode/emachine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
+#include <utility>
+#include <vector>
 
-#include "support/math_util.h"
-#include "support/rng.h"
+#include "sim/runtime_core.h"
 
 namespace lrt::ecode {
 namespace {
@@ -14,333 +14,181 @@ using arch::HostId;
 using spec::CommId;
 using spec::TaskId;
 using spec::Time;
-using spec::Value;
 
-struct PendingWrite {
-  CommId comm = -1;
-  HostId source = -1;
-  Value value;
+/// What one host does at one offset of the specification period, in
+/// program order.
+struct Reaction {
+  std::vector<CommId> sensors;
+  std::vector<std::pair<CommId, Time>> votes;  ///< (comm, first due)
+  std::vector<CommId> actuations;
+  std::vector<std::pair<TaskId, int>> latches;
+  std::vector<TaskId> releases;
+
+  [[nodiscard]] bool empty() const {
+    return sensors.empty() && votes.empty() && actuations.empty() &&
+           latches.empty() && releases.empty();
+  }
+  friend bool operator==(const Reaction&, const Reaction&) = default;
 };
+using Reactions = std::map<Time, Reaction>;
 
-class EMachineSystem {
- public:
-  EMachineSystem(const impl::Implementation& impl, sim::Environment& env,
-                 const sim::SimulationOptions& options, HostId io_host)
-      : impl_(impl),
-        spec_(impl.specification()),
-        arch_(impl.architecture()),
-        env_(env),
-        options_(options),
-        io_host_(io_host),
-        rng_(options.faults.seed) {}
-
-  Result<sim::SimulationResult> run() {
-    const std::size_t num_hosts = arch_.hosts().size();
-    const std::size_t num_comms = spec_.communicators().size();
-
-    CodegenOptions codegen;
-    codegen.io_host = io_host_;
-    codegen.actuator_comms = options_.actuator_comms;
-    for (HostId h = 0; h < static_cast<HostId>(num_hosts); ++h) {
-      LRT_ASSIGN_OR_RETURN(EcodeProgram program,
-                           generate_ecode(impl_, h, codegen));
-      programs_.push_back(std::move(program));
-    }
-
-    values_.assign(num_hosts, {});
-    for (auto& host_values : values_) {
-      for (const auto& comm : spec_.communicators()) {
-        host_values.push_back(comm.init);
+/// Decodes `program` by following its trigger chain for one period from
+/// its first block, the way the E-machine would execute it.
+Result<Reactions> decode(const EcodeProgram& program) {
+  Reactions reactions;
+  if (program.blocks.empty()) return reactions;
+  const std::string where = "E-code of host " + std::to_string(program.host);
+  const Time start = program.blocks.front().first;
+  Time now = start;
+  auto pc = static_cast<std::size_t>(program.blocks.front().second);
+  while (now < start + program.period) {
+    Reaction& reaction = reactions[now % program.period];
+    bool armed = false;
+    Time next = now;
+    std::size_t target = 0;
+    for (bool halted = false; !halted;) {
+      if (pc >= program.code.size()) {
+        return FailedPreconditionError(where + " runs off its code at " +
+                                       std::to_string(now));
       }
-    }
-    latched_.assign(num_hosts, {});
-    for (auto& host_latches : latched_) {
-      for (const auto& task : spec_.tasks()) {
-        host_latches.emplace_back(task.inputs.size(), Value::bottom());
-      }
-    }
-    host_up_.assign(num_hosts, true);
-    triggers_.clear();
-    for (const EcodeProgram& program : programs_) {
-      triggers_.push_back(program.blocks.empty()
-                              ? Trigger{-1, -1}
-                              : Trigger{program.blocks.front().first,
-                                        program.blocks.front().second});
-    }
-
-    host_events_ = options_.faults.host_events;
-    std::stable_sort(host_events_.begin(), host_events_.end(),
-                     [](const sim::FaultPlan::HostEvent& a,
-                        const sim::FaultPlan::HostEvent& b) {
-                       return a.time < b.time;
-                     });
-    for (const auto& event : host_events_) {
-      if (event.host < 0 || event.host >= static_cast<HostId>(num_hosts)) {
-        return OutOfRangeError("host event references host " +
-                               std::to_string(event.host));
-      }
-    }
-
-    accumulators_.assign(num_comms, {});
-    update_accums_.assign(num_comms, {});
-    record_values_.assign(num_comms, false);
-    for (const std::string& name : options_.record_values_for) {
-      const auto comm = spec_.find_communicator(name);
-      if (!comm.has_value()) {
-        return NotFoundError("record_values_for references unknown "
-                             "communicator '" + name + "'");
-      }
-      record_values_[static_cast<std::size_t>(*comm)] = true;
-      result_.value_traces.emplace(name, std::vector<Value>{});
-    }
-
-    // The harmonic grid step, derived once at Build time.
-    const Time step = spec_.base_period();
-    const Time duration = spec_.hyperperiod() * options_.periods;
-
-    for (Time now = 0; now < duration; now += step) {
-      while (next_host_event_ < host_events_.size() &&
-             host_events_[next_host_event_].time <= now) {
-        const auto& event = host_events_[next_host_event_++];
-        host_up_[static_cast<std::size_t>(event.host)] = event.up;
-      }
-      sensor_cache_.clear();
-      for (HostId h = 0; h < static_cast<HostId>(num_hosts); ++h) {
-        Trigger& trigger = triggers_[static_cast<std::size_t>(h)];
-        if (trigger.time == now) execute_block(h, now, trigger);
-      }
-      sample(now);
-      pending_.erase(now);
-      env_.advance(now, step);
-    }
-
-    result_.periods = options_.periods;
-    result_.ticks = duration;
-    result_.comm_stats.resize(num_comms);
-    for (std::size_t c = 0; c < num_comms; ++c) {
-      sim::CommStats& stats = result_.comm_stats[c];
-      stats.name = spec_.communicators()[c].name;
-      stats.samples = accumulators_[c].samples();
-      stats.reliable_samples = accumulators_[c].reliable();
-      stats.limit_average = accumulators_[c].average();
-      stats.updates = update_accums_[c].samples();
-      stats.reliable_updates = update_accums_[c].reliable();
-    }
-    return std::move(result_);
-  }
-
- private:
-  struct Trigger {
-    Time time = -1;
-    int address = -1;
-  };
-
-  /// The sensor value at the current instant, drawn once and shared by all
-  /// hosts ("the environment writes identical values to all replications").
-  const Value& sensor_value(CommId comm, Time now) {
-    const auto it = sensor_cache_.find(comm);
-    if (it != sensor_cache_.end()) return it->second;
-    const arch::Sensor& sensor = arch_.sensor(impl_.sensor_for(comm));
-    const bool failed = options_.faults.inject_sensor_faults &&
-                        rng_.bernoulli(1.0 - sensor.reliability);
-    Value value = failed ? Value::bottom()
-                         : env_.read_sensor(
-                               spec_.communicator(comm).name, now);
-    if (update_counting_enabled_) {
-      update_accums_[static_cast<std::size_t>(comm)].record(!failed);
-    }
-    return sensor_cache_.emplace(comm, std::move(value)).first->second;
-  }
-
-  void execute_block(HostId h, Time now, Trigger& trigger) {
-    const EcodeProgram& program = programs_[static_cast<std::size_t>(h)];
-    const auto hs = static_cast<std::size_t>(h);
-    int pc = trigger.address;
-    update_counting_enabled_ = h == 0;
-    while (true) {
-      const Instruction inst = program.code[static_cast<std::size_t>(pc)];
-      ++pc;
+      const Instruction inst = program.code[pc++];
       switch (inst.op) {
-        case Opcode::kCallSensor: {
-          values_[hs][static_cast<std::size_t>(inst.arg0)] =
-              sensor_value(inst.arg0, now);
+        case Opcode::kCallSensor:
+          reaction.sensors.push_back(inst.arg0);
           break;
-        }
-        case Opcode::kCallVote: {
-          if (now < inst.arg1) break;  // write not yet due
-          std::vector<Value> candidates;
-          const auto pending_it = pending_.find(now);
-          if (pending_it != pending_.end()) {
-            for (const PendingWrite& write : pending_it->second) {
-              if (write.comm != inst.arg0) continue;
-              if (!host_up_[static_cast<std::size_t>(write.source)]) continue;
-              candidates.push_back(write.value);
-            }
-          }
-          // Divergences are counted once per update (on host 0 only).
-          const Value winner = sim::vote(
-              candidates, options_.voting_policy,
-              h == 0 ? &result_.vote_divergences : nullptr);
-          values_[hs][static_cast<std::size_t>(inst.arg0)] = winner;
-          if (h == 0) {
-            ++result_.committed_updates;
-            update_accums_[static_cast<std::size_t>(inst.arg0)].record(
-                !winner.is_bottom());
-          }
+        case Opcode::kCallVote:
+          reaction.votes.emplace_back(inst.arg0, inst.arg1);
           break;
-        }
-        case Opcode::kCallActuate: {
-          env_.write_actuator(spec_.communicator(inst.arg0).name, now,
-                              values_[hs][static_cast<std::size_t>(inst.arg0)]);
+        case Opcode::kCallActuate:
+          reaction.actuations.push_back(inst.arg0);
           break;
-        }
-        case Opcode::kCallLatch: {
-          const spec::Task& task = spec_.task(inst.arg0);
-          const spec::PortRef& port =
-              task.inputs[static_cast<std::size_t>(inst.arg1)];
-          latched_[hs][static_cast<std::size_t>(inst.arg0)]
-                  [static_cast<std::size_t>(inst.arg1)] =
-                      values_[hs][static_cast<std::size_t>(port.comm)];
+        case Opcode::kCallLatch:
+          reaction.latches.emplace_back(inst.arg0, inst.arg1);
           break;
-        }
-        case Opcode::kRelease: {
-          release_task(h, inst.arg0, now);
+        case Opcode::kRelease:
+          reaction.releases.push_back(inst.arg0);
           break;
-        }
-        case Opcode::kFuture: {
-          trigger.time = now + inst.arg0;
-          trigger.address = inst.arg1;
+        case Opcode::kFuture:
+          armed = inst.arg0 > 0 && inst.arg1 >= 0;
+          next = now + inst.arg0;
+          target = static_cast<std::size_t>(inst.arg1);
           break;
-        }
         case Opcode::kHalt:
-          return;
-      }
-    }
-  }
-
-  void release_task(HostId h, TaskId t, Time now) {
-    const auto hs = static_cast<std::size_t>(h);
-    const spec::Task& task = spec_.task(t);
-    ++result_.invocations;
-
-    bool failed = !host_up_[hs];
-    if (!failed && options_.faults.inject_invocation_faults) {
-      // Transient faults are independent per attempt; re-executions retry
-      // on the same host within the LET.
-      failed = true;
-      for (int attempt = 0; failed && attempt <= impl_.reexecutions(t);
-           ++attempt) {
-        failed = rng_.bernoulli(1.0 - arch_.host(h).reliability);
-      }
-    }
-
-    std::vector<Value> inputs;
-    if (!failed) {
-      inputs = latched_[hs][static_cast<std::size_t>(t)];
-      std::size_t unreliable = 0;
-      for (std::size_t j = 0; j < inputs.size(); ++j) {
-        if (!inputs[j].is_bottom()) continue;
-        ++unreliable;
-        if (task.model != spec::FailureModel::kSeries) {
-          inputs[j] = task.defaults[j];
-        }
-      }
-      switch (task.model) {
-        case spec::FailureModel::kSeries:
-          failed = unreliable > 0;
-          break;
-        case spec::FailureModel::kParallel:
-          failed = unreliable == inputs.size();
-          break;
-        case spec::FailureModel::kIndependent:
+          halted = true;
           break;
       }
     }
-    if (failed) {
-      ++result_.invocation_failures;
-      return;
+    if (!armed) {
+      return FailedPreconditionError(
+          where + " halts at " + std::to_string(now) +
+          " without arming a later reaction");
     }
-
-    std::vector<Value> outputs;
-    if (task.function) {
-      outputs = task.function(inputs);
-      assert(outputs.size() == task.outputs.size());
-    } else {
-      for (const spec::PortRef& port : task.outputs) {
-        outputs.push_back(zero_value(spec_.communicator(port.comm).type));
-      }
-    }
-
-    if (options_.broadcast_reliability < 1.0 &&
-        !rng_.bernoulli(options_.broadcast_reliability)) {
-      ++result_.invocation_failures;
-      return;
-    }
-    const Time period_start = now - now % spec_.hyperperiod();
-    for (std::size_t k = 0; k < task.outputs.size(); ++k) {
-      const spec::PortRef& port = task.outputs[k];
-      const Time commit =
-          period_start + spec_.communicator(port.comm).period * port.instance;
-      pending_[commit].push_back({port.comm, h, outputs[k]});
-    }
+    now = next;
+    pc = target;
   }
+  return reactions;
+}
 
-  void sample(Time now) {
-    for (CommId c = 0; c < static_cast<CommId>(spec_.communicators().size());
-         ++c) {
-      if (now % spec_.communicator(c).period != 0) continue;
-      const Value& value = values_[0][static_cast<std::size_t>(c)];
-      accumulators_[static_cast<std::size_t>(c)].record(!value.is_bottom());
-      if (record_values_[static_cast<std::size_t>(c)]) {
-        result_.value_traces[spec_.communicator(c).name].push_back(value);
-      }
-      for (std::size_t h = 1; h < values_.size(); ++h) {
-        if (!(values_[h][static_cast<std::size_t>(c)] == value)) {
-          ++result_.vote_divergences;
-        }
+/// The activation table projected onto `host`: every row's sensor
+/// commits and votes, the actuations on the I/O host, and the latches and
+/// releases of the tasks mapped to `host`.
+Reactions project(const sim::detail::ActivationTable& table,
+                  const impl::Implementation& impl, HostId host, bool io) {
+  const auto mapped = [&impl, host](TaskId task) {
+    const auto& hosts = impl.hosts_for(task);
+    return std::find(hosts.begin(), hosts.end(), host) != hosts.end();
+  };
+  Reactions reactions;
+  for (const sim::detail::ActivationRow& row : table.rows) {
+    Reaction reaction;
+    for (const CommId c : table.slice(table.sensors, row.sensors)) {
+      reaction.sensors.push_back(c);
+    }
+    for (const auto& vote : table.slice(table.votes, row.votes)) {
+      reaction.votes.emplace_back(vote.comm, vote.first_due);
+    }
+    if (io) {
+      for (const CommId c : table.slice(table.actuations, row.actuations)) {
+        reaction.actuations.push_back(c);
       }
     }
+    for (const auto& latch : table.slice(table.latches, row.latches)) {
+      if (mapped(latch.task)) {
+        reaction.latches.emplace_back(latch.task, latch.input);
+      }
+    }
+    for (const TaskId t : table.slice(table.releases, row.releases)) {
+      if (mapped(t)) reaction.releases.push_back(t);
+    }
+    if (!reaction.empty()) reactions.emplace(row.offset, std::move(reaction));
   }
+  return reactions;
+}
 
-  const impl::Implementation& impl_;
-  const spec::Specification& spec_;
-  const arch::Architecture& arch_;
-  sim::Environment& env_;
-  const sim::SimulationOptions& options_;
-  HostId io_host_;
-  Xoshiro256 rng_;
-
-  std::vector<EcodeProgram> programs_;
-  std::vector<Trigger> triggers_;
-  std::vector<std::vector<Value>> values_;
-  std::vector<std::vector<std::vector<Value>>> latched_;
-  std::vector<bool> host_up_;
-  std::vector<sim::FaultPlan::HostEvent> host_events_;
-  std::size_t next_host_event_ = 0;
-  std::map<Time, std::vector<PendingWrite>> pending_;
-  std::map<CommId, Value> sensor_cache_;
-  bool update_counting_enabled_ = false;
-
-  sim::SimulationResult result_;
-  std::vector<sim::ReliabilityAccumulator> accumulators_;
-  std::vector<sim::ReliabilityAccumulator> update_accums_;
-  std::vector<bool> record_values_;
-};
+/// Fails unless `program` reacts exactly as the table prescribes.
+Status check_program(const EcodeProgram& program,
+                     const sim::detail::ActivationTable& table,
+                     const impl::Implementation& impl, HostId io_host) {
+  const std::string where = "E-code of host " + std::to_string(program.host);
+  if (program.period != table.period) {
+    return FailedPreconditionError(where + " has period " +
+                                   std::to_string(program.period) +
+                                   ", the specification " +
+                                   std::to_string(table.period));
+  }
+  LRT_ASSIGN_OR_RETURN(Reactions decoded, decode(program));
+  std::erase_if(decoded, [](const auto& entry) {
+    return entry.second.empty();
+  });
+  const Reactions expected =
+      project(table, impl, program.host, program.host == io_host);
+  if (decoded == expected) return Status::Ok();
+  // Name the first offset where the two disagree.
+  const auto [d, e] = std::mismatch(decoded.begin(), decoded.end(),
+                                    expected.begin(), expected.end());
+  const Time at = d == decoded.end()   ? e->first
+                  : e == expected.end() ? d->first
+                                        : std::min(d->first, e->first);
+  return FailedPreconditionError(
+      where + " disagrees with the activation table at offset " +
+      std::to_string(at));
+}
 
 }  // namespace
+
+Result<sim::SimulationResult> run_ecode(
+    std::span<const EcodeProgram> programs, const impl::Implementation& impl,
+    sim::Environment& env, const sim::SimulationOptions& options,
+    arch::HostId io_host) {
+  sim::detail::RuntimeCore core({&impl, 1}, env, options);
+  LRT_RETURN_IF_ERROR(core.init());
+  if (programs.size() != impl.architecture().hosts().size()) {
+    return InvalidArgumentError("E-machine needs one program per host");
+  }
+  for (std::size_t h = 0; h < programs.size(); ++h) {
+    if (programs[h].host != static_cast<HostId>(h)) {
+      return InvalidArgumentError("E-code programs must be in host order");
+    }
+    LRT_RETURN_IF_ERROR(
+        check_program(programs[h], core.table(), impl, io_host));
+  }
+  return sim::detail::drive(core, options.engine);
+}
 
 Result<sim::SimulationResult> run_emachine(
     const impl::Implementation& impl, sim::Environment& env,
     const sim::SimulationOptions& options, arch::HostId io_host) {
-  if (options.periods <= 0) {
-    return InvalidArgumentError("emachine needs a positive period count");
+  CodegenOptions codegen;
+  codegen.io_host = io_host;
+  codegen.actuator_comms = options.actuator_comms;
+  std::vector<EcodeProgram> programs;
+  for (HostId h = 0;
+       h < static_cast<HostId>(impl.architecture().hosts().size()); ++h) {
+    LRT_ASSIGN_OR_RETURN(EcodeProgram program,
+                         generate_ecode(impl, h, codegen));
+    programs.push_back(std::move(program));
   }
-  if (!is_probability(options.broadcast_reliability) ||
-      options.broadcast_reliability <= 0.0) {
-    return InvalidArgumentError("broadcast reliability must be in (0, 1]");
-  }
-  EMachineSystem machine(impl, env, options, io_host);
-  return machine.run();
+  return run_ecode(programs, impl, env, options, io_host);
 }
 
 }  // namespace lrt::ecode

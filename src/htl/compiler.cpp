@@ -237,86 +237,120 @@ Result<std::vector<ModeSelection>> enumerate_mode_selections(
   return selections;
 }
 
+namespace {
+
+/// The program's architecture block as a model; null when it has none.
+Result<std::unique_ptr<arch::Architecture>> build_architecture(
+    const ProgramAst& program) {
+  if (!program.architecture.has_value()) {
+    return std::unique_ptr<arch::Architecture>();
+  }
+  const ArchitectureAst& ast = *program.architecture;
+  arch::ArchitectureConfig config;
+  config.name = program.name + "_arch";
+  for (const HostAst& host : ast.hosts) {
+    config.hosts.push_back({host.name, host.reliability});
+  }
+  for (const SensorAst& sensor : ast.sensors) {
+    config.sensors.push_back({sensor.name, sensor.reliability});
+  }
+  config.default_wcet = std::nullopt;
+  config.default_wctt = std::nullopt;
+  for (const MetricAst& metric : ast.metrics) {
+    if (metric.task.empty()) {
+      config.default_wcet = metric.wcet;
+      config.default_wctt = metric.wctt;
+    } else {
+      config.metrics.push_back(
+          {metric.task, metric.host, metric.wcet, metric.wctt});
+    }
+  }
+  LRT_ASSIGN_OR_RETURN(arch::Architecture architecture,
+                       arch::Architecture::Build(std::move(config)));
+  return std::make_unique<arch::Architecture>(std::move(architecture));
+}
+
+}  // namespace
+
+Result<std::unique_ptr<impl::Implementation>> build_implementation(
+    const ProgramAst& program, const spec::Specification& spec,
+    const arch::Architecture* architecture) {
+  if (!program.mapping.has_value()) {
+    return std::unique_ptr<impl::Implementation>();
+  }
+  if (architecture == nullptr) {
+    return line_error(program.mapping->line, program.mapping->column,
+                      "program '" + program.name +
+                          "' has a mapping block but no architecture "
+                          "block");
+  }
+  const MappingAst& ast = *program.mapping;
+  impl::ImplementationConfig config;
+  config.name = program.name + "_impl";
+  for (const MapAst& map : ast.maps) {
+    // Mappings may cover tasks of non-selected modes; keep only those in
+    // the flattened specification, but reject names declared nowhere.
+    if (!spec.find_task(map.task).has_value()) {
+      const bool declared_somewhere = std::any_of(
+          program.modules.begin(), program.modules.end(),
+          [&map](const ModuleAst& module) {
+            return std::any_of(module.tasks.begin(), module.tasks.end(),
+                               [&map](const TaskAst& t) {
+                                 return t.name == map.task;
+                               });
+          });
+      if (declared_somewhere) continue;
+      return line_error(map.line, map.column,
+                        "mapping references unknown task '" + map.task +
+                            "'");
+    }
+    config.task_mappings.push_back({map.task, map.hosts, map.retries,
+                                    map.checkpoints,
+                                    map.checkpoint_overhead});
+  }
+  for (const BindAst& bind : ast.binds) {
+    config.sensor_bindings.push_back({bind.communicator, bind.sensor});
+  }
+  LRT_ASSIGN_OR_RETURN(
+      impl::Implementation implementation,
+      impl::Implementation::Build(spec, *architecture, std::move(config)));
+  return std::make_unique<impl::Implementation>(std::move(implementation));
+}
+
+namespace {
+
+/// Flattens `system.ast` and builds its architecture and mapping.
+Status compile_into(CompiledSystem& system, const FunctionRegistry& functions,
+                    const ModeSelection& selection) {
+  LRT_ASSIGN_OR_RETURN(spec::Specification spec,
+                       flatten(system.ast, functions, selection));
+  system.specification =
+      std::make_unique<spec::Specification>(std::move(spec));
+  LRT_ASSIGN_OR_RETURN(system.architecture, build_architecture(system.ast));
+  LRT_ASSIGN_OR_RETURN(
+      system.implementation,
+      build_implementation(system.ast, *system.specification,
+                           system.architecture.get()));
+  return Status::Ok();
+}
+
+}  // namespace
+
 Result<CompiledSystem> compile(std::string_view source,
                                const FunctionRegistry& functions,
                                const ModeSelection& selection) {
   CompiledSystem system;
   LRT_ASSIGN_OR_RETURN(system.ast, parse(source));
+  LRT_RETURN_IF_ERROR(compile_into(system, functions, selection));
+  return system;
+}
 
-  LRT_ASSIGN_OR_RETURN(spec::Specification spec,
-                       flatten(system.ast, functions, selection));
-  system.specification =
-      std::make_unique<spec::Specification>(std::move(spec));
-
-  if (system.ast.architecture.has_value()) {
-    const ArchitectureAst& ast = *system.ast.architecture;
-    arch::ArchitectureConfig config;
-    config.name = system.ast.name + "_arch";
-    for (const HostAst& host : ast.hosts) {
-      config.hosts.push_back({host.name, host.reliability});
-    }
-    for (const SensorAst& sensor : ast.sensors) {
-      config.sensors.push_back({sensor.name, sensor.reliability});
-    }
-    config.default_wcet = std::nullopt;
-    config.default_wctt = std::nullopt;
-    for (const MetricAst& metric : ast.metrics) {
-      if (metric.task.empty()) {
-        config.default_wcet = metric.wcet;
-        config.default_wctt = metric.wctt;
-      } else {
-        config.metrics.push_back(
-            {metric.task, metric.host, metric.wcet, metric.wctt});
-      }
-    }
-    LRT_ASSIGN_OR_RETURN(arch::Architecture architecture,
-                         arch::Architecture::Build(std::move(config)));
-    system.architecture =
-        std::make_unique<arch::Architecture>(std::move(architecture));
-  }
-
-  if (system.ast.mapping.has_value()) {
-    if (system.architecture == nullptr) {
-      return line_error(system.ast.mapping->line, system.ast.mapping->column,
-                        "program '" + system.ast.name +
-                            "' has a mapping block but no architecture "
-                            "block");
-    }
-    const MappingAst& ast = *system.ast.mapping;
-    impl::ImplementationConfig config;
-    config.name = system.ast.name + "_impl";
-    for (const MapAst& map : ast.maps) {
-      // Mappings may cover tasks of non-selected modes; keep only those in
-      // the flattened specification, but reject names declared nowhere.
-      if (!system.specification->find_task(map.task).has_value()) {
-        const bool declared_somewhere = std::any_of(
-            system.ast.modules.begin(), system.ast.modules.end(),
-            [&map](const ModuleAst& module) {
-              return std::any_of(module.tasks.begin(), module.tasks.end(),
-                                 [&map](const TaskAst& t) {
-                                   return t.name == map.task;
-                                 });
-            });
-        if (declared_somewhere) continue;
-        return line_error(map.line, map.column,
-                          "mapping references unknown task '" + map.task +
-                              "'");
-      }
-      config.task_mappings.push_back({map.task, map.hosts, map.retries,
-                                      map.checkpoints,
-                                      map.checkpoint_overhead});
-    }
-    for (const BindAst& bind : ast.binds) {
-      config.sensor_bindings.push_back({bind.communicator, bind.sensor});
-    }
-    LRT_ASSIGN_OR_RETURN(
-        impl::Implementation implementation,
-        impl::Implementation::Build(*system.specification,
-                                    *system.architecture, std::move(config)));
-    system.implementation =
-        std::make_unique<impl::Implementation>(std::move(implementation));
-  }
-
+Result<CompiledSystem> compile(const ProgramAst& program,
+                               const FunctionRegistry& functions,
+                               const ModeSelection& selection) {
+  CompiledSystem system;
+  system.ast = program;
+  LRT_RETURN_IF_ERROR(compile_into(system, functions, selection));
   return system;
 }
 

@@ -53,6 +53,22 @@ struct CompiledSystem {
     std::string_view source, const FunctionRegistry& functions = {},
     const ModeSelection& selection = {});
 
+/// Checks and flattens an already-parsed program: compiling many mode
+/// selections of one source parses it once. The result holds a copy of
+/// `program`.
+[[nodiscard]] Result<CompiledSystem> compile(
+    const ProgramAst& program, const FunctionRegistry& functions = {},
+    const ModeSelection& selection = {});
+
+/// The program's mapping block as an implementation of `spec` (a
+/// flattening of `program`) on `architecture`; null when the program has
+/// no mapping block. Mappings of tasks outside `spec` are skipped, so one
+/// architecture can serve every mode selection.
+[[nodiscard]] Result<std::unique_ptr<impl::Implementation>>
+build_implementation(const ProgramAst& program,
+                     const spec::Specification& spec,
+                     const arch::Architecture* architecture);
+
 /// Flattens an already-parsed program into a specification (semantic
 /// checks included).
 [[nodiscard]] Result<spec::Specification> flatten(

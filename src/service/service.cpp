@@ -15,6 +15,7 @@
 #include "reliability/incremental.h"
 #include "spec/spec_graph.h"
 #include "spec/spec_json.h"
+#include "support/hash.h"
 #include "synth/synth_json.h"
 
 namespace lrt::service {
@@ -840,12 +841,24 @@ ServiceReply Service::handle(std::string_view request_frame) {
     return reply;
   }
 
+  // A cached id replays only for the same request bytes; a reused id
+  // with another body gets a typed error, never another request's reply.
+  const std::uint64_t digest = hash_bytes(request_frame);
   {
     const std::lock_guard<std::mutex> lock(idempotency_mutex_);
     const auto it = replays_.find(request->id);
     if (it != replays_.end()) {
-      if (s != nullptr) s->counter_add("service.idempotent_replays");
-      reply.frame = it->second;
+      if (it->second.digest == digest) {
+        if (s != nullptr) s->counter_add("service.idempotent_replays");
+        reply.frame = it->second.frame;
+      } else {
+        if (s != nullptr) s->counter_add("service.errors");
+        reply.frame = make_error_frame(
+            request->id,
+            AlreadyExistsError("request id '" + request->id +
+                               "' was already used by a different "
+                               "request"));
+      }
       record_latency();
       return reply;
     }
@@ -889,7 +902,7 @@ ServiceReply Service::handle(std::string_view request_frame) {
   // fresh attempt, not the failure replayed.
   if (cacheable) {
     const std::lock_guard<std::mutex> lock(idempotency_mutex_);
-    if (replays_.emplace(request->id, reply.frame).second) {
+    if (replays_.emplace(request->id, Replay{digest, reply.frame}).second) {
       replay_order_.push_back(request->id);
       while (replays_.size() > options_.max_idempotency_entries &&
              !replay_order_.empty()) {

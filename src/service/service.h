@@ -23,9 +23,11 @@
 //  * A failed request never poisons resident state: validation runs
 //    before any mutation, and an evaluator is (re)primed only after a
 //    fully successful cold analysis.
-//  * Requests are idempotent by id: a replayed id returns the cached
-//    response bytes without re-executing. Responses that advise retry
-//    (kUnavailable, kDeadlineExceeded) are never cached.
+//  * Requests are idempotent by id: a replayed id with the same request
+//    bytes returns the cached response bytes without re-executing. A
+//    reused id whose request differs (by a 64-bit FNV-1a digest) gets a
+//    typed kAlreadyExists error and caches nothing. Responses that advise
+//    retry (kUnavailable, kDeadlineExceeded) are never cached.
 //  * `deadline_ms` is enforced at verb boundaries: before a verb runs
 //    and between batch items, where an expired deadline degrades the
 //    remaining items to typed kDeadlineExceeded entries (partial
@@ -132,7 +134,13 @@ class Service {
   std::unordered_map<std::uint64_t, CacheEntry> residents_;
 
   std::mutex idempotency_mutex_;
-  std::unordered_map<std::string, std::string> replays_;
+  /// A cached response and the digest (support/hash.h hash_bytes) of the
+  /// request bytes that produced it.
+  struct Replay {
+    std::uint64_t digest = 0;
+    std::string frame;
+  };
+  std::unordered_map<std::string, Replay> replays_;
   std::list<std::string> replay_order_;  ///< oldest first
 };
 

@@ -33,11 +33,7 @@ std::size_t wheel_buckets(std::size_t n) {
 
 }  // namespace
 
-Result<SimulationResult> run_event_engine(
-    std::span<const impl::Implementation> phases, Environment& env,
-    const SimulationOptions& options) {
-  RuntimeCore core(phases, env, options);
-  LRT_RETURN_IF_ERROR(core.init());
+Status run_event_engine(RuntimeCore& core) {
   const Time duration = core.duration();
   // Grid quantities of the specification currently in force; a live
   // update (RuntimeCore generation bump) refreshes them mid-run.
@@ -241,7 +237,7 @@ Result<SimulationResult> run_event_engine(
     sink->counter_add("sim.queue_allocations", qs.allocations);
     sink->counter_add("sim.queue_resizes", qs.resizes);
   }
-  return core.finish();
+  return Status::Ok();
 }
 
 }  // namespace lrt::sim::detail

@@ -23,21 +23,15 @@
 #ifndef LRT_SIM_EVENT_RUNTIME_H_
 #define LRT_SIM_EVENT_RUNTIME_H_
 
-#include <span>
-
-#include "impl/implementation.h"
-#include "sim/environment.h"
-#include "sim/runtime.h"
 #include "support/status.h"
 
 namespace lrt::sim::detail {
 
-/// Runs one simulation on the event engine. Pre-validated by
-/// simulate_time_dependent (nonempty phases, shared models, positive
-/// periods); produces a result bit-identical to the tick engine's.
-[[nodiscard]] Result<SimulationResult> run_event_engine(
-    std::span<const impl::Implementation> phases, Environment& env,
-    const SimulationOptions& options);
+class RuntimeCore;
+
+/// Drives an initialised core to its horizon on the event engine; the
+/// core's result is then bit-identical to the tick engine's.
+[[nodiscard]] Status run_event_engine(RuntimeCore& core);
 
 }  // namespace lrt::sim::detail
 

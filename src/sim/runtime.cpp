@@ -6,7 +6,6 @@
 #include "sim/event_runtime.h"
 #include "sim/runtime_core.h"
 #include "support/json.h"
-#include "support/math_util.h"
 
 namespace lrt::sim {
 namespace {
@@ -15,12 +14,9 @@ using spec::Time;
 
 /// The reference engine: visits every instant of the harmonic grid. Kept
 /// deliberately naive — it IS the semantics the event engine is
-/// differential-tested against.
-Result<SimulationResult> run_tick_engine(
-    std::span<const impl::Implementation> phases, Environment& env,
-    const SimulationOptions& options) {
-  detail::RuntimeCore core(phases, env, options);
-  LRT_RETURN_IF_ERROR(core.init());
+/// differential-tested against. (tick() returns at once on an instant
+/// that is neither an activation row nor a scripted host event.)
+Status run_tick_engine(detail::RuntimeCore& core) {
   const Time duration = core.duration();
   // The step is re-read every iteration: a live update (monitor hot-swap)
   // may rebase the grid mid-run. The horizon is frozen at init.
@@ -30,7 +26,7 @@ Result<SimulationResult> run_tick_engine(
     core.advance_processors(now, next);
     core.advance_environment(now, next);
   }
-  return core.finish();
+  return Status::Ok();
 }
 
 }  // namespace
@@ -103,20 +99,9 @@ Result<SimulationResult> simulate_time_dependent(
           "specification and architecture");
     }
   }
-  if (options.periods <= 0) {
-    return InvalidArgumentError("simulation needs a positive period count");
-  }
-  if (!is_probability(options.broadcast_reliability) ||
-      options.broadcast_reliability <= 0.0) {
-    return InvalidArgumentError("broadcast reliability must be in (0, 1]");
-  }
-  switch (options.engine) {
-    case SimulationOptions::Engine::kEvent:
-      return detail::run_event_engine(phases, env, options);
-    case SimulationOptions::Engine::kTick:
-      break;
-  }
-  return run_tick_engine(phases, env, options);
+  detail::RuntimeCore core(phases, env, options);
+  LRT_RETURN_IF_ERROR(core.init());
+  return detail::drive(core, options.engine);
 }
 
 Result<SimulationResult> simulate(const impl::Implementation& impl,
@@ -126,3 +111,20 @@ Result<SimulationResult> simulate(const impl::Implementation& impl,
 }
 
 }  // namespace lrt::sim
+
+namespace lrt::sim::detail {
+
+Result<SimulationResult> drive(RuntimeCore& core,
+                               SimulationOptions::Engine engine) {
+  switch (engine) {
+    case SimulationOptions::Engine::kEvent:
+      LRT_RETURN_IF_ERROR(run_event_engine(core));
+      break;
+    case SimulationOptions::Engine::kTick:
+      LRT_RETURN_IF_ERROR(run_tick_engine(core));
+      break;
+  }
+  return core.finish();
+}
+
+}  // namespace lrt::sim::detail

@@ -1,6 +1,8 @@
 // Unit tests for src/ecode: code generation shape, disassembly, and — the
 // key property — agreement between the E-machine executing generated code
-// and the direct runtime interpretation of the specification.
+// and the direct runtime interpretation of the specification, exact even
+// under faults, plus the check that rejects E-code which disagrees with
+// the specification's activation table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,6 +160,11 @@ TEST(EMachine, EmpiricalRatesMatchAnalysisUnderFaults) {
   sim::NullEnvironment env;
   const auto result = run_emachine(*system->implementation, env, options);
   ASSERT_TRUE(result.ok()) << result.status();
+  // The E-machine draws the same keyed faults as the direct runtime, so
+  // the two agree exactly, not just statistically.
+  const auto direct = sim::simulate(*system->implementation, env, options);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  EXPECT_EQ(sim::to_json(*result), sim::to_json(*direct));
 
   for (const std::string name : {"l1", "u1", "l2", "u2"}) {
     const auto comm_id = *system->specification->find_communicator(name);
@@ -187,6 +194,87 @@ TEST(EMachine, ReplicationSurvivesHostKill) {
   EXPECT_DOUBLE_EQ(result->find("u1")->update_rate(), 1.0);
   EXPECT_DOUBLE_EQ(result->find("u2")->update_rate(), 1.0);
   EXPECT_EQ(result->vote_divergences, 0);
+}
+
+/// Removes instruction `at`, re-pointing block entries and future
+/// targets past it, as an optimizer bug that drops an instruction would.
+void drop_instruction(EcodeProgram& program, std::size_t at) {
+  program.code.erase(program.code.begin() + static_cast<std::ptrdiff_t>(at));
+  const auto shift = [at](auto& address) {
+    if (static_cast<std::size_t>(address) > at) --address;
+  };
+  for (auto& block : program.blocks) shift(block.second);
+  for (Instruction& inst : program.code) {
+    if (inst.op == Opcode::kFuture) shift(inst.arg1);
+  }
+}
+
+std::vector<EcodeProgram> generate_all(const impl::Implementation& impl,
+                                       const CodegenOptions& options) {
+  std::vector<EcodeProgram> programs;
+  for (arch::HostId h = 0;
+       h < static_cast<arch::HostId>(impl.architecture().hosts().size());
+       ++h) {
+    programs.push_back(std::move(generate_ecode(impl, h, options)).value());
+  }
+  return programs;
+}
+
+TEST(EMachine, ExecutesTheCodeItIsGiven) {
+  // Scenario 1 replicates t1/t2 on h1 and h2; dropping the release of t1
+  // from h2's program alone must not go unnoticed, although h1 still
+  // releases t1.
+  plant::ThreeTankScenario scenario;
+  scenario.variant = plant::ThreeTankVariant::kReplicatedTasks;
+  auto system = plant::make_three_tank_system(scenario);
+  ASSERT_TRUE(system.ok());
+  const impl::Implementation& impl = *system->implementation;
+  sim::SimulationOptions options;
+  options.periods = 50;
+  options.actuator_comms = {"u1", "u2"};
+  CodegenOptions codegen;
+  codegen.actuator_comms = options.actuator_comms;
+  sim::NullEnvironment env;
+
+  std::vector<EcodeProgram> programs = generate_all(impl, codegen);
+  const auto intact = run_ecode(programs, impl, env, options);
+  ASSERT_TRUE(intact.ok()) << intact.status();
+  const auto generated = run_emachine(impl, env, options);
+  ASSERT_TRUE(generated.ok());
+  EXPECT_EQ(sim::to_json(*intact), sim::to_json(*generated));
+
+  const spec::TaskId t1 = *system->specification->find_task("t1");
+  EcodeProgram& h2 = programs[1];
+  const auto release = std::find(h2.code.begin(), h2.code.end(),
+                                 Instruction{Opcode::kRelease, t1, 0});
+  ASSERT_NE(release, h2.code.end());
+  drop_instruction(h2, static_cast<std::size_t>(release - h2.code.begin()));
+  const auto dropped = run_ecode(programs, impl, env, options);
+  EXPECT_EQ(dropped.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(dropped.status().message().find("host 1"), std::string::npos)
+      << dropped.status();
+
+  // A broken trigger chain fails too: a future that does not advance.
+  programs = generate_all(impl, codegen);
+  for (Instruction& inst : programs[0].code) {
+    if (inst.op == Opcode::kFuture) {
+      inst.arg0 = 0;
+      break;
+    }
+  }
+  EXPECT_EQ(run_ecode(programs, impl, env, options).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // So does a vote moved to the wrong instant.
+  programs = generate_all(impl, codegen);
+  for (Instruction& inst : programs[2].code) {
+    if (inst.op == Opcode::kCallVote) {
+      ++inst.arg1;
+      break;
+    }
+  }
+  EXPECT_EQ(run_ecode(programs, impl, env, options).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(EMachine, RejectsBadOptions) {

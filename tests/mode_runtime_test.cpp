@@ -3,6 +3,8 @@
 // reliability accounting under faults.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "htl/mode_runtime.h"
 #include "sim/environment.h"
 
@@ -151,6 +153,53 @@ TEST(ModeRuntime, FaultInjectionDegradesPerAnalysis) {
   const auto* cmd = result->simulation.find("cmd");
   ASSERT_NE(cmd, nullptr);
   EXPECT_NEAR(cmd->update_rate(), 0.99 * 0.99, 0.005);
+}
+
+/// `go` is a bool sensor that reads true from t = 40 on.
+class GoEnvironment final : public sim::Environment {
+ public:
+  spec::Value read_sensor(std::string_view, spec::Time now) override {
+    return spec::Value::boolean(now >= 40);
+  }
+  void write_actuator(std::string_view, spec::Time,
+                      const spec::Value&) override {}
+};
+
+TEST(ModeRuntime, SensorConditionIsReadAfterTheBoundaryUpdate) {
+  // The switch point sits after the boundary instant's commits, sensor
+  // updates included: at t = 40 the condition already holds the reading
+  // taken at 40, so the switch fires there and `first` runs two periods
+  // (0 and 20). The interpreter this runtime replaced evaluated switches
+  // before the boundary's sensor updates; it saw the reading of t = 30
+  // and switched one period later.
+  constexpr std::string_view kSensed = R"(
+    program sensed {
+      communicator go : bool period 10 init false lrc 0.5;
+      communicator y : real period 20 init 0.0 lrc 0.5;
+      module m {
+        task a input (go[0]) output (y[1]);
+        task b input (go[0]) output (y[1]);
+        mode first period 20 { invoke a; switch (go) to second; }
+        mode second period 20 { invoke b; }
+        start first;
+      }
+      architecture {
+        host h reliability 0.9;
+        sensor s reliability 0.9;
+        metrics default wcet 1 wctt 1;
+      }
+      mapping { map a to h; map b to h; bind go to s; }
+    }
+  )";
+  GoEnvironment env;
+  sim::SimulationOptions options = quiet_options(10);
+  options.actuator_comms = {};
+  const auto result = simulate_with_switching(kSensed, {}, env, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->switches_taken, 1);
+  EXPECT_EQ(result->mode_occupancy,
+            (std::map<std::string, std::int64_t>{{"m=first", 2},
+                                                 {"m=second", 8}}));
 }
 
 TEST(ModeRuntime, AnalyzeAllSelectionsCoversTheProduct) {

@@ -25,6 +25,8 @@
 #include "impl/impl_json.h"
 #include "impl/implementation.h"
 #include "lrt/lrt.h"
+#include "obs/metrics.h"
+#include "obs/sink.h"
 #include "reliability/analysis.h"
 #include "service/client.h"
 #include "service/frame.h"
@@ -631,16 +633,42 @@ TEST(Service, RandomizedDeltaStreamMatchesFacadeReports) {
 // Idempotent replay.
 
 TEST(Service, ReplayedIdReturnsCachedBytesWithoutReExecuting) {
-  Service service;
-  const std::string first = handle_ok(
-      service, make_frame("dup", "analyze",
-                          cold_analyze_extra(make_impl_config({"h1", "h2"}))));
+  obs::MetricsRegistry metrics;
+  obs::Sink sink(&metrics, nullptr);
+  ServiceOptions options;
+  options.sink = &sink;
+  Service service(options);
+  const std::string request = make_frame(
+      "dup", "analyze", cold_analyze_extra(make_impl_config({"h1", "h2"})));
+  const std::string first = handle_ok(service, request);
 
-  // A different body under the same id proves the cached bytes come
-  // back without the verb running: a ping would otherwise answer pong.
-  ServiceReply replay = service.handle(make_frame("dup", "ping"));
-  EXPECT_EQ(replay.frame, first);
-  EXPECT_FALSE(contains(replay.frame, "pong"));
+  // The same bytes under the same id come back from the cache: the verb
+  // ran once, the second request was a replay.
+  EXPECT_EQ(service.handle(request).frame, first);
+  const auto snapshot = metrics.snapshot();
+  EXPECT_EQ(snapshot.counter("service.ok"), 1);
+  EXPECT_EQ(snapshot.counter("service.idempotent_replays"), 1);
+}
+
+TEST(Service, ReusedIdWithAnotherBodyIsATypedError) {
+  // A ping, then a lint under the same id: the lint must not receive the
+  // cached pong, and the conflict caches nothing.
+  Service service;
+  const std::string pong = handle_ok(service, make_frame("x", "ping"));
+  EXPECT_TRUE(contains(pong, "\"pong\":true")) << pong;
+  const std::string lint = make_frame("x", "lint", "\"source\":\"program\"");
+  const std::string conflict = handle_error(service, lint, "kAlreadyExists");
+  EXPECT_FALSE(contains(conflict, "pong")) << conflict;
+  EXPECT_TRUE(contains(conflict, "already used by a different request"))
+      << conflict;
+  EXPECT_EQ(service.handle(lint).frame, conflict);
+  // The original request still replays its own reply, and a fresh id
+  // gets the lint verb's own answer.
+  EXPECT_EQ(service.handle(make_frame("x", "ping")).frame, pong);
+  const std::string fresh = service.handle(make_frame("y", "lint",
+                                 "\"source\":\"program\"")).frame;
+  EXPECT_FALSE(contains(fresh, "pong")) << fresh;
+  EXPECT_FALSE(contains(fresh, "already used")) << fresh;
 }
 
 // ---------------------------------------------------------------------------
