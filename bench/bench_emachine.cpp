@@ -10,7 +10,8 @@
 // mode-switching runtime. `--json <path>` writes those two ratios, each
 // measured within one run (emachine_over_tick on the 3TS,
 // switching_over_tick on examples/htl/mode_switching.htl), gated in CI
-// against baselines/BENCH_emachine.json.
+// against baselines/BENCH_emachine.json. The table also prints the event
+// engine's wall time over the tick engine's on the examples/htl programs.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -144,6 +145,30 @@ FrontEndRatios measure_front_ends() {
   return ratios;
 }
 
+/// The event engine over the tick engine on dense grids: every
+/// examples/htl program, where nearly every grid instant is a row.
+double event_over_tick_dense() {
+  sim::NullEnvironment env;
+  std::vector<htl::CompiledSystem> systems;
+  for (const char* name : {"abstract_control", "concrete_control", "cruise",
+                           "mode_switching", "three_tank"}) {
+    std::ifstream in(std::string(LRT_EXAMPLES_HTL_DIR "/") + name + ".htl");
+    std::stringstream text;
+    text << in.rdbuf();
+    systems.push_back(std::move(htl::compile(text.str())).value());
+  }
+  const auto run_all = [&](sim::SimulationOptions::Engine engine) {
+    sim::SimulationOptions options;
+    options.engine = engine;
+    options.periods = kRatioPeriods;
+    for (const htl::CompiledSystem& system : systems) {
+      (void)sim::simulate(*system.implementation, env, options);
+    }
+  };
+  return median_ratio([&] { run_all(sim::SimulationOptions::Engine::kEvent); },
+                      [&] { run_all(sim::SimulationOptions::Engine::kTick); });
+}
+
 bool write_json(const std::string& path) {
   const FrontEndRatios ratios = measure_front_ends();
   bench::JsonWriter json;
@@ -216,6 +241,8 @@ void print_ratios() {
   std::printf("  switching / tick   (mode_switching)    %.3fx  switches %lld\n",
               ratios.switching_over_tick,
               static_cast<long long>(ratios.switches_taken));
+  std::printf("  event / tick       (examples/htl)      %.3fx\n",
+              event_over_tick_dense());
 }
 
 }  // namespace

@@ -120,8 +120,6 @@ struct EngineRun {
   double wall_ms = 0.0;
   std::int64_t events = 0;
   std::int64_t ticks_skipped = 0;
-  std::int64_t queue_allocations = 0;
-  std::int64_t queue_resizes = 0;
 };
 
 EngineRun run_engine(const impl::Implementation& impl,
@@ -148,8 +146,6 @@ EngineRun run_engine(const impl::Implementation& impl,
                     .count();
   run.events = snapshot.counter("sim.events");
   run.ticks_skipped = snapshot.counter("sim.ticks_skipped");
-  run.queue_allocations = snapshot.counter("sim.queue_allocations");
-  run.queue_resizes = snapshot.counter("sim.queue_resizes");
   return run;
 }
 
@@ -244,10 +240,6 @@ void print_table() {
   std::printf("speedup %.1fx, results %s\n",
               cmp.tick.wall_ms / std::max(cmp.event.wall_ms, 1e-6),
               cmp.identical ? "identical" : "DIVERGED");
-  std::printf("event queue: %lld allocations, %lld resizes\n",
-              static_cast<long long>(cmp.event.queue_allocations),
-              static_cast<long long>(cmp.event.queue_resizes));
-
 }
 
 bool write_json(const std::string& path) {
@@ -270,8 +262,6 @@ bool write_json(const std::string& path) {
               horizon_per_core_second(cmp, cmp.tick.wall_ms));
   json.number("event_horizon_per_core_second",
               horizon_per_core_second(cmp, cmp.event.wall_ms));
-  json.integer("queue_allocations", cmp.event.queue_allocations);
-  json.integer("queue_resizes", cmp.event.queue_resizes);
   return json.write(path);
 }
 

@@ -12,17 +12,14 @@ script serves every bench that writes a --json summary:
     * result quality: the minimal cost changed in either engine;
     * wall clock: fast_wall_ms exceeds an absolute budget.
 
-  longrun_*    — the event-wheel simulation core must stay a faithful
-    fast path:
+  longrun_*    — the event engine must stay a faithful fast path:
     * identity: the tick and event engines must produce identical
       results (identical == 1) — the CI-level differential oracle;
     * determinism: events and ticks_skipped are exact (same workload,
       same seeds — any drift is a semantics change);
-    * performance: the event/tick speedup must stay above a floor far
-      below the recorded value (machine noise headroom), and
-      event_wall_ms must fit an absolute budget;
-    * calendar queue: steady-state allocations must stay near the
-      baseline (the bucket/slot pools keep them flat).
+    * performance: the event/tick speedup must stay above a floor at
+      about half the lowest recorded value, so a 2x event-engine
+      slowdown fails, and event_wall_ms must fit an absolute budget.
 
   emachine_*   — the E-machine and the mode-switching runtime must stay
     front ends of the tick engine's RuntimeCore:
@@ -43,7 +40,8 @@ import sys
 # Deterministic counters get 10% headroom for harmless refactors.
 COUNTER_TOLERANCE = 1.10
 SYNTHESIS_WALL_BUDGET_MS = 250.0
-LONGRUN_SPEEDUP_FLOOR = 10.0
+# About half the lowest of 12 recorded event/tick speedups (31.9-47.5x).
+LONGRUN_SPEEDUP_FLOOR = 16.0
 LONGRUN_WALL_BUDGET_MS = 250.0
 UPDATE_WALL_BUDGET_MS = 250.0
 LINT_WALL_BUDGET_MS = 250.0
@@ -127,15 +125,6 @@ def check_longrun(fresh, base):
         failures.append(
             f"event_wall_ms: {fresh['event_wall_ms']:.3f} > budget "
             f"{LONGRUN_WALL_BUDGET_MS} ms")
-
-    # Calendar-queue telemetry: a pooled steady state must not start
-    # reallocating (10% headroom for harmless stdlib/geometry changes).
-    limit = base["queue_allocations"] * COUNTER_TOLERANCE + 1
-    if fresh["queue_allocations"] > limit:
-        failures.append(
-            f"queue_allocations: {fresh['queue_allocations']} > "
-            f"{limit:.0f} (baseline {base['queue_allocations']} +10%): "
-            "the event queue's bucket/slot pooling regressed")
 
     print(f"fresh:    identical={fresh['identical']} "
           f"events={fresh['events']} "

@@ -13,9 +13,9 @@
 //     update commits exactly as many samples and updates as in a run that
 //     never updated (the filter is a pass-through, so even u1's value
 //     trace is bit-identical).
-//  3. Engine bit-identity: the whole transaction replayed on the
-//     calendar-queue event engine produces bit-identical traces, stats,
-//     and swap counts to the tick engine.
+//  3. Engine bit-identity: the whole transaction replayed on the event
+//     engine produces bit-identical traces, stats, and swap counts to the
+//     tick engine.
 //  4. Forced failure: a proposal whose spliced communicator carries an
 //     unattainable LRC is rejected at the verify stage; the running
 //     workload is never touched and the full value trace equals the

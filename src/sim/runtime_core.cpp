@@ -454,7 +454,6 @@ Status RuntimeCore::install_swap(Time now, const impl::Implementation* next) {
   } else {
     seek_row(0, now + hyperperiod_);
   }
-  ++generation_;
   ++result_.spec_swaps;
   if (tracer_ != nullptr) {
     tracer_->instant("sim", "spec_swap", {{"t", static_cast<double>(now)}});

@@ -9,9 +9,10 @@
 //
 //  * the tick engine (runtime.cpp, Engine::kTick) visits every multiple of
 //    the harmonic grid step — the reference oracle, and the default;
-//  * the event engine (event_runtime.cpp, Engine::kEvent) visits only the
-//    instants where the body can do work, advancing processors and the
-//    environment across the gaps in one window;
+//  * the event engine (runtime.cpp, Engine::kEvent) jumps from instant to
+//    next_instant() — the next row or grid-rounded scripted host event —
+//    advancing processors and the environment across the gap in one
+//    window;
 //  * the E-machine (ecode/emachine.cpp) decodes generated E-code and
 //    checks it, reaction by reaction, against the activation table below
 //    before driving either engine;
@@ -48,6 +49,7 @@
 #ifndef LRT_SIM_RUNTIME_CORE_H_
 #define LRT_SIM_RUNTIME_CORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -203,17 +205,16 @@ class RuntimeCore {
   [[nodiscard]] const spec::Specification& spec() const { return *spec_; }
   /// The activation table of the specification in force.
   [[nodiscard]] const ActivationTable& table() const { return table_; }
-  /// Bumped on every hot-swap. Engines watch this to rebuild calendars
-  /// derived from the outgoing specification.
-  [[nodiscard]] std::int64_t generation() const { return generation_; }
-  /// Scripted host events, time-sorted (valid after init()).
-  [[nodiscard]] const std::vector<FaultPlan::HostEvent>& host_events() const {
-    return host_events_;
-  }
-  /// The monitor-installed mapping override, null until a remap commits.
-  /// Engines watch this to resynchronize release schedules after a remap.
-  [[nodiscard]] const impl::Implementation* override_mapping() const {
-    return override_;
+  /// The first instant after the last tick() at which tick() can do work:
+  /// the earlier of the next activation row and the next scripted host
+  /// event, the latter rounded up to the grid (anchored at the epoch of
+  /// the specification in force) where the tick engine would apply it.
+  /// Valid after the first tick().
+  [[nodiscard]] spec::Time next_instant() const {
+    if (next_host_event_ == host_events_.size()) return next_row_at_;
+    const spec::Time event = host_events_[next_host_event_].time;
+    return std::min(next_row_at_,
+                    epoch_ + (event - epoch_ + step_ - 1) / step_ * step_);
   }
   [[nodiscard]] const obs::Sink* sink() const { return sink_; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
@@ -287,8 +288,6 @@ class RuntimeCore {
   spec::Time epoch_ = 0;
   /// Simulated horizon, frozen at init() from the initial specification.
   spec::Time duration_ = 0;
-  /// Incremented per hot-swap (engine calendars key off it).
-  std::int64_t generation_ = 0;
   bool coalesce_ = false;
 
   ActivationTable table_;

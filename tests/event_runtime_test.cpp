@@ -2,8 +2,9 @@
 // Engine::kEvent must be bit-identical to Engine::kTick — results, value
 // traces, monitor callback sequences, RNG-driven fault outcomes, obs
 // counters — on randomized workloads, fault plans (including off-grid
-// scripted host events), host-disjoint multi-group pipelines, timed
-// execution, mid-run remaps, the adapt self-healing path, the Monte Carlo
+// scripted host events, also pending across a live update that changes
+// the grid step), host-disjoint multi-group pipelines, timed execution,
+// mid-run remaps, the adapt self-healing path, the Monte Carlo
 // runner at several thread counts, and the lrt:: facade. A mismatch writes
 // des-mismatch-<seed>.json next to the binary so CI can upload the failing
 // workload spec as an artifact.
@@ -12,6 +13,7 @@
 #include <memory>
 #include <regex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -334,6 +336,93 @@ TEST(EventRuntimeDifferential, VariedPeriodChainWithOffGridHostEvents) {
                        /*seed=*/601, "varied periods");
 }
 
+/// Swaps the running workload for `next` at the update point `at`.
+class SwapAt final : public RecordingMonitor {
+ public:
+  SwapAt(const impl::Implementation& next, Time at) : next_(next), at_(at) {}
+  const impl::Implementation* on_update_point(Time now) override {
+    return now == at_ ? &next_ : nullptr;
+  }
+
+ private:
+  const impl::Implementation& next_;
+  Time at_;
+};
+
+TEST(EventRuntimeDifferential, HostEventsPendingAcrossAGridStepChange) {
+  // Timed execution across a live update at t = 150 that moves the grid
+  // from step 5 to step 4. The host events are scripted before the swap
+  // and land off both grids; the tick engine applies them on the new one.
+  // The kill at 192 freezes h0 at 194, while task2's job (released at
+  // 186, WCET 7) still needs two ticks, and the restore at 195 comes at
+  // 198, so the job misses its write instant. Rounded on the old grid,
+  // both events would apply at 195 and the job would finish in time.
+  const auto varied = [](std::string name, Time p0, Time p1, Time p2) {
+    spec::SpecificationConfig config;
+    config.name = std::move(name);
+    config.communicators = {test::comm("c0", p0, 0.3),
+                            test::comm("c1", p1, 0.3),
+                            test::comm("c2", p2, 0.3)};
+    config.tasks = {test::task("task1", {{"c0", 1}}, {{"c1", 2}}),
+                    test::task("task2", {{"c1", 1}}, {{"c2", 1}})};
+    return test::build_spec(std::move(config));
+  };
+  const spec::Specification coarse = varied("coarse", 10, 15, 30);
+  const spec::Specification fine = varied("fine", 8, 12, 24);
+  arch::ArchitectureConfig arch_config;
+  arch_config.hosts = {{"h0", 0.99}};
+  arch_config.sensors = {{"s0", 0.99}};
+  arch_config.default_wcet = 7;
+  const auto arch = arch::Architecture::Build(std::move(arch_config));
+  ASSERT_TRUE(arch.ok()) << arch.status();
+  impl::ImplementationConfig impl_config;
+  impl_config.task_mappings = {{"task1", {"h0"}}, {"task2", {"h0"}}};
+  impl_config.sensor_bindings = {{"c0", "s0"}};
+  const auto coarse_impl =
+      impl::Implementation::Build(coarse, *arch, impl_config);
+  const auto fine_impl = impl::Implementation::Build(fine, *arch, impl_config);
+  ASSERT_TRUE(coarse_impl.ok()) << coarse_impl.status();
+  ASSERT_TRUE(fine_impl.ok()) << fine_impl.status();
+
+  const auto run = [&](Engine engine) {
+    SwapAt monitor(*fine_impl, 150);
+    obs::MetricsRegistry metrics;
+    obs::Sink sink(&metrics, nullptr);
+    NullEnvironment env;
+    SimulationOptions options;
+    options.engine = engine;
+    options.periods = 20;
+    options.model_execution_time = true;
+    options.record_values_for = {"c0", "c1", "c2"};
+    options.faults.host_events = {{.time = 7, .host = 0, .up = false},
+                                  {.time = 13, .host = 0, .up = true},
+                                  {.time = 192, .host = 0, .up = false},
+                                  {.time = 195, .host = 0, .up = true}};
+    options.monitor = &monitor;
+    options.sink = &sink;
+    auto result = simulate(*coarse_impl, env, options);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return std::tuple(std::move(result).value(), std::move(monitor.calls),
+                      metrics.snapshot());
+  };
+  const auto [tick, tick_calls, tick_metrics] = run(Engine::kTick);
+  const auto [event, event_calls, event_metrics] = run(Engine::kEvent);
+  expect_identical(tick, event);
+  EXPECT_EQ(tick.spec_swaps, 1);
+  EXPECT_EQ(event.spec_swaps, 1);
+  EXPECT_GT(tick.deadline_misses, 0);
+  EXPECT_TRUE(tick_calls == event_calls)
+      << "monitor callback sequences diverged";
+  for (const auto& [name, value] : tick_metrics.counters) {
+    EXPECT_EQ(event_metrics.counter(name), value) << name;
+  }
+  // Visited plus skipped instants cover both grids: [0, 150) in steps of
+  // 5, then [150, 600) in steps of 4.
+  EXPECT_EQ(event_metrics.counter("sim.events") +
+                event_metrics.counter("sim.ticks_skipped"),
+            150 / 5 + (600 - 150 + 3) / 4);
+}
+
 TEST(EventRuntimeDifferential, ThreeTankClosedLoopEnvironment) {
   // A stateful plant: the environment integrates an ODE in advance() and
   // feeds sensors from it, so any divergence in instants visited or
@@ -365,8 +454,8 @@ TEST(EventRuntimeDifferential, ThreeTankClosedLoopEnvironment) {
 
 TEST(EventRuntimeDifferential, MidRunRemapResynchronizesReleases) {
   // The self-healing controller detects the scripted kill and installs a
-  // repair mid-run: the event engine must re-derive its release schedule
-  // from the new mapping at the same boundary the tick engine does.
+  // repair mid-run: the event engine must run the repaired mapping from
+  // the same boundary the tick engine does.
   auto run = [](Engine engine, int host_count) {
     plant::ThreeTankScenario scenario;
     scenario.variant = plant::ThreeTankVariant::kReplicatedTasks;

@@ -269,7 +269,7 @@ TEST(LiveUpdate, ZeroMissedUpdatesAcrossSwap) {
 
 TEST(LiveUpdate, TickEventBitIdentity) {
   // The whole transaction — install instant included — replayed on the
-  // calendar-queue engine must be bit-identical to the tick engine.
+  // event engine must be bit-identical to the tick engine.
   const Fixture f = running_system();
   const auto tick = run_updated(f, sim::SimulationOptions::Engine::kTick);
   const auto event = run_updated(f, sim::SimulationOptions::Engine::kEvent);
