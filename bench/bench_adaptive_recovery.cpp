@@ -95,8 +95,8 @@ BENCHMARK(BM_PlanRepairGreedy);
 void BM_PlanRepairExhaustive(benchmark::State& state) {
   auto system = plant::make_three_tank_system(adaptive_scenario(3));
   adapt::RepairPolicy policy;
-  policy.strategy = synth::SynthesisOptions::Strategy::kExhaustive;
-  policy.max_replication_per_task = 2;
+  policy.synthesis.strategy = synth::SynthesisOptions::Strategy::kExhaustive;
+  policy.synthesis.max_replication_per_task = 2;
   for (auto _ : state) {
     auto plan = adapt::plan_repair(*system->implementation,
                                    std::vector<arch::HostId>{0}, policy);

@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
   // fast engine (prunes, incumbent updates) on every planned repair; the
   // planned mappings still pass all four gates below.
   adapt::SelfHealingOptions healing;
-  healing.repair.strategy = synth::SynthesisOptions::Strategy::kExhaustive;
+  healing.repair.synthesis.strategy =
+      synth::SynthesisOptions::Strategy::kExhaustive;
 
   // --- part 1: single-run story --------------------------------------
   auto system = plant::make_three_tank_system(scenario_with(3));

@@ -98,14 +98,10 @@ Result<RepairPlan> plan_repair(const impl::Implementation& current,
         "repair: no surviving host to remap onto");
   }
 
-  synth::SynthesisOptions options;
-  options.strategy = policy.strategy;
-  options.engine = policy.engine;
-  options.threads = policy.threads;
-  options.require_schedulable = policy.require_schedulable;
-  options.max_replication_per_task = policy.max_replication_per_task;
+  synth::SynthesisOptions options = policy.synthesis;
   options.allowed_hosts = survivors;
   options.task_redundancy = redundancy_of(current);
+  options.relaxed_lrcs.clear();
   const auto bindings = bindings_of(current);
 
   RepairPlan plan;

@@ -31,21 +31,14 @@
 namespace lrt::adapt {
 
 struct RepairPolicy {
-  /// Synthesis strategy for the replacement mapping search.
-  synth::SynthesisOptions::Strategy strategy =
-      synth::SynthesisOptions::Strategy::kGreedy;
-  /// Search engine (see SynthesisOptions::Engine) — a repair on a live
-  /// system wants the incremental fast path; the reference engine stays
-  /// available for differential runs.
-  synth::SynthesisOptions::Engine engine =
-      synth::SynthesisOptions::Engine::kFast;
-  /// Worker threads for the fast exhaustive search (0 = all cores); the
-  /// planned repair is identical for every value.
-  unsigned threads = 1;
-  /// Also require the repaired mapping to pass the schedulability check.
-  bool require_schedulable = true;
-  /// Upper bound on |I(t)| per task in the repaired mapping.
-  int max_replication_per_task = 1 << 20;
+  /// Options for the replacement mapping search. plan_repair overwrites
+  /// `allowed_hosts` (the surviving hosts), `task_redundancy` (the current
+  /// implementation's re-execution and checkpoint budgets) and
+  /// `relaxed_lrcs` (the shed set, grown by one communicator per round);
+  /// everything else — strategy, engine, threads, schedulability,
+  /// replication bound — is honored. The defaults (greedy on the
+  /// incremental fast engine, one thread) suit a repair on a live system.
+  synth::SynthesisOptions synthesis;
 };
 
 struct RepairPlan {

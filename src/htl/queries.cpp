@@ -2,14 +2,6 @@
 
 namespace lrt::htl {
 
-const ModuleAst* find_module(const ProgramAst& program,
-                             std::string_view name) {
-  for (const ModuleAst& module : program.modules) {
-    if (module.name == name) return &module;
-  }
-  return nullptr;
-}
-
 const CommunicatorAst* find_communicator(const ProgramAst& program,
                                          std::string_view name) {
   for (const CommunicatorAst& comm : program.communicators) {

@@ -16,9 +16,7 @@
 
 namespace lrt::htl {
 
-/// The module / communicator / task / mode with the given name, or null.
-[[nodiscard]] const ModuleAst* find_module(const ProgramAst& program,
-                                           std::string_view name);
+/// The communicator / task / mode with the given name, or null.
 [[nodiscard]] const CommunicatorAst* find_communicator(
     const ProgramAst& program, std::string_view name);
 [[nodiscard]] const TaskAst* find_task(const ModuleAst& module,

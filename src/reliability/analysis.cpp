@@ -85,6 +85,13 @@ ReliabilityReport make_report(const impl::Implementation& impl,
 
 }  // namespace
 
+Status require_cycle_safe(const spec::SpecificationGraph& graph) {
+  if (graph.is_cycle_safe()) return Status::Ok();
+  return FailedPreconditionError(
+      "reliability analysis requires a cycle-safe specification:\n" +
+      graph.describe_cycles());
+}
+
 double task_reliability(const impl::Implementation& impl, TaskId task) {
   // Time redundancy: k re-executions make the per-host invocation succeed
   // with 1 - (1 - hrel)^(k+1) (independent transient faults).
@@ -267,11 +274,7 @@ Result<ReliabilityReport> report_from_json(const JsonValue& document) {
 
 Result<ReliabilityReport> analyze(const impl::Implementation& impl) {
   const spec::SpecificationGraph graph(impl.specification());
-  if (!graph.is_cycle_safe()) {
-    return FailedPreconditionError(
-        "reliability analysis requires a cycle-safe specification:\n" +
-        graph.describe_cycles());
-  }
+  LRT_RETURN_IF_ERROR(require_cycle_safe(graph));
   LRT_ASSIGN_OR_RETURN(const std::vector<double> srgs, compute_srgs(impl));
   return make_report(impl, srgs, graph.is_memory_free(),
                      graph.is_cycle_safe());
@@ -292,11 +295,7 @@ Result<ReliabilityReport> analyze_time_dependent(
     }
   }
   const spec::SpecificationGraph graph(spec);
-  if (!graph.is_cycle_safe()) {
-    return FailedPreconditionError(
-        "reliability analysis requires a cycle-safe specification:\n" +
-        graph.describe_cycles());
-  }
+  LRT_RETURN_IF_ERROR(require_cycle_safe(graph));
 
   // Long-run average over phases: iterations cycle deterministically, so by
   // the SLLN applied per congruence class the limit average of the abstract

@@ -34,7 +34,16 @@
 #include "support/json.h"
 #include "support/status.h"
 
+namespace lrt::spec {
+class SpecificationGraph;
+}  // namespace lrt::spec
+
 namespace lrt::reliability {
+
+/// The precondition of analyze(): OK for a cycle-safe specification,
+/// else kFailedPrecondition naming its unsafe cycles. The one wording of
+/// that failure, for every caller that reports it.
+[[nodiscard]] Status require_cycle_safe(const spec::SpecificationGraph& graph);
 
 /// lambda_t for the replication set I(t).
 [[nodiscard]] double task_reliability(const impl::Implementation& impl,

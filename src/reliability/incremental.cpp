@@ -230,6 +230,21 @@ std::size_t SrgEvaluator::set_task_hosts(TaskId task,
   return static_cast<std::size_t>(comm_updates_ - before);
 }
 
+std::size_t SrgEvaluator::set_task_hosts(TaskId task,
+                                         std::span<const HostId> hosts,
+                                         int reexecutions) {
+  const auto ts = static_cast<std::size_t>(task);
+  if (reexecutions != reexecutions_[ts]) {
+    if (recording_) {
+      trail_.push_back(
+          {static_cast<std::int32_t>(srg_.size() + lambda_.size() + ts),
+           static_cast<double>(reexecutions_[ts])});
+    }
+    reexecutions_[ts] = reexecutions;
+  }
+  return set_task_hosts(task, hosts);
+}
+
 void SrgEvaluator::propagate() {
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
@@ -261,8 +276,11 @@ void SrgEvaluator::rollback(Mark m) {
     if (slot < srg_.size()) {
       srg_[slot] = entry.old_value;
       refresh_satisfied(slot);
-    } else {
+    } else if (slot < srg_.size() + lambda_.size()) {
       lambda_[slot - srg_.size()] = entry.old_value;
+    } else {
+      reexecutions_[slot - srg_.size() - lambda_.size()] =
+          static_cast<int>(entry.old_value);
     }
   }
 }

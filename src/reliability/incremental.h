@@ -65,6 +65,11 @@ class SrgEvaluator {
   /// host set yields the same lambda_t).
   std::size_t set_task_hosts(spec::TaskId task,
                              std::span<const arch::HostId> hosts);
+  /// Same, also replacing the task's re-execution count (>= 0). A changed
+  /// count is recorded in the undo trail, so rollback() restores it.
+  std::size_t set_task_hosts(spec::TaskId task,
+                             std::span<const arch::HostId> hosts,
+                             int reexecutions);
 
   // --- current state ---
   [[nodiscard]] const std::vector<double>& srgs() const { return srg_; }
@@ -73,6 +78,9 @@ class SrgEvaluator {
   }
   [[nodiscard]] double task_lambda(spec::TaskId t) const {
     return lambda_[static_cast<std::size_t>(t)];
+  }
+  [[nodiscard]] int reexecutions(spec::TaskId t) const {
+    return reexecutions_[static_cast<std::size_t>(t)];
   }
   /// lambda_c - mu_c of communicator `c` under the current assignment.
   [[nodiscard]] double slack(spec::CommId c) const;
@@ -94,8 +102,8 @@ class SrgEvaluator {
   /// rollback(); marks nest (LIFO).
   using Mark = std::size_t;
   [[nodiscard]] Mark mark() const { return trail_.size(); }
-  /// Reverts every lambda/SRG change recorded after `m`, restoring
-  /// bit-identical state (including the violation count).
+  /// Reverts every lambda/SRG/re-execution change recorded after `m`,
+  /// restoring bit-identical state (including the violation count).
   void rollback(Mark m);
   /// Drops the undo history (long-running callers that never roll back).
   void discard_trail() { trail_.clear(); }
@@ -146,7 +154,8 @@ class SrgEvaluator {
   std::vector<int> heap_;                 // topo positions, min-heap
   std::vector<std::uint8_t> dirty_;       // by CommId
 
-  // Undo trail: slot < |cset| is an SRG, slot >= |cset| is a lambda.
+  // Undo trail: slot < |cset| is an SRG, the next |tasks| slots are
+  // lambdas, and the |tasks| after those are re-execution counts.
   struct TrailEntry {
     std::int32_t slot;
     double old_value;

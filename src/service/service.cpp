@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -132,10 +133,11 @@ void write_validation_json(const sim::ValidationReport& report,
 
 }  // namespace
 
-/// A workload held hot: the built models, the canonical config of the
-/// last fully analyzed implementation, and an SrgEvaluator primed with
-/// it. `mutex` serializes all implementation-state access; the models
-/// and graph flags are immutable after construction.
+/// A workload held hot: the built models and an SrgEvaluator primed
+/// with the last fully analyzed implementation and every delta since —
+/// the one copy of that implementation's reliability state. `mutex`
+/// serializes all implementation-state access; the models and graph
+/// flags are immutable after construction.
 struct Service::Resident {
   std::uint64_t fingerprint = 0;
   lrt::Workload workload;
@@ -143,53 +145,29 @@ struct Service::Resident {
   bool cycle_safe = false;
 
   std::mutex mutex;
-  bool has_impl = false;
-  /// Canonical config of the resident implementation (TaskId-order
-  /// mappings, CommId-order bindings) — the rebuild fallback's source.
-  impl::ImplementationConfig impl_config;
-  std::vector<std::vector<arch::HostId>> hosts;  ///< by TaskId, ascending
-  std::vector<int> reexecutions;                 ///< by TaskId
-  /// Absent when the specification is not cycle-safe (no SRG induction)
-  /// or the last FromImplementation failed; mutate requests then rebuild.
+  /// Present once a full implementation was analyzed: it stands for
+  /// "an implementation is resident".
   std::optional<reliability::SrgEvaluator> evaluator;
+  /// By TaskId: whether the resident implementation declares checkpoints
+  /// for the task — the one mapping field outside the evaluator that a
+  /// delta can invalidate (Implementation::Build needs re-executions
+  /// there).
+  std::vector<std::uint8_t> checkpointed;
 
   /// Full-report cache: one reliability::write_verdict_json fragment per
-  /// communicator (CommId order) and the bit pattern of the SRG each
+  /// communicator (CommId order) and the bit pattern of the SRG it
   /// encodes. A row's other fields are its fixed name and LRC or
   /// functions of its SRG, so a changed bit pattern is the only
-  /// staleness signal. Empty until the first full-report hit after
-  /// prime(), which drops it.
+  /// staleness signal, and the rows stay valid across implementations.
+  /// Empty until the first report.
   std::vector<std::string> report_rows;
   std::vector<std::uint64_t> report_row_srg_bits;
-
-  /// Records `impl` as the resident implementation after a fully
-  /// successful cold analysis. Call with `mutex` held.
-  void prime(const impl::Implementation& impl) {
-    const std::size_t tasks = workload.spec->tasks().size();
-    impl_config = impl.to_config();
-    hosts.resize(tasks);
-    reexecutions.resize(tasks);
-    for (std::size_t t = 0; t < tasks; ++t) {
-      hosts[t] = impl.hosts_for(static_cast<spec::TaskId>(t));
-      reexecutions[t] = impl.reexecutions(static_cast<spec::TaskId>(t));
-    }
-    Result<reliability::SrgEvaluator> built =
-        reliability::SrgEvaluator::FromImplementation(impl);
-    if (built.ok()) {
-      evaluator = std::move(built).value();
-    } else {
-      evaluator.reset();
-    }
-    report_rows.clear();
-    report_row_srg_bits.clear();
-    has_impl = true;
-  }
 
   /// Writes the analyze() report of the evaluator's state, re-encoding
   /// only the rows whose SRG changed since the last call. The bytes are
   /// reliability::write_json's over make_report of bit-identical SRGs
-  /// (the SrgEvaluator contract), so hit responses match cold ones.
-  /// Call with `mutex` held and `evaluator` present.
+  /// (the SrgEvaluator contract), so every response matches the one-shot
+  /// facade's. Call with `mutex` held and `evaluator` present.
   void write_report(JsonWriter& json) {
     const spec::Specification& spec = *workload.spec;
     const std::size_t count = spec.communicators().size();
@@ -355,53 +333,36 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
     include_report = full->boolean;
   }
 
-  obs::Sink* s = sink();
-  // The cold path's report (kept only when requested), or — on a hit —
-  // whether to write the resident's cached report.
-  std::optional<reliability::ReliabilityReport> report;
-  bool report_from_cache = false;
-  bool reliable = false;
-  std::int64_t unsatisfied = 0;
-  // Sets the verdict fields (and drops the report unless requested)
-  // from a full report — the cold path's summary, byte-identical to the
-  // hit path's evaluator reads by the SrgEvaluator contract.
-  const auto summarize = [&](reliability::ReliabilityReport&& full) {
-    reliable = full.reliable;
-    unsatisfied = 0;
-    for (const reliability::CommunicatorVerdict& verdict : full.verdicts) {
-      if (!verdict.satisfied) ++unsatisfied;
-    }
-    if (include_report) report = std::move(full);
-  };
   const std::lock_guard<std::mutex> lock(resident->mutex);
-
-  // Cold path: a full config builds, analyzes, and re-primes the
-  // resident evaluator. Any error leaves the resident state untouched.
-  const auto analyze_cold =
-      [&](impl::ImplementationConfig config)
-      -> Result<reliability::ReliabilityReport> {
+  const spec::Specification& spec = *resident->workload.spec;
+  const char* counter = "service.analyze_hits";
+  if (impl_doc != nullptr) {
+    // A full implementation builds and primes a fresh evaluator. Any
+    // error leaves the resident state untouched.
+    LRT_ASSIGN_OR_RETURN(impl::ImplementationConfig config,
+                         impl::implementation_config_from_json(*impl_doc));
     LRT_ASSIGN_OR_RETURN(
         const impl::Implementation impl,
         lrt::build_implementation(resident->workload, std::move(config)));
-    LRT_ASSIGN_OR_RETURN(reliability::ReliabilityReport cold,
-                         lrt::analyze(resident->workload, impl));
-    resident->prime(impl);
-    if (s != nullptr) s->counter_add("service.analyze_cold");
-    return cold;
-  };
-
-  if (impl_doc != nullptr) {
-    LRT_ASSIGN_OR_RETURN(impl::ImplementationConfig config,
-                         impl::implementation_config_from_json(*impl_doc));
-    LRT_ASSIGN_OR_RETURN(reliability::ReliabilityReport cold,
-                         analyze_cold(std::move(config)));
-    summarize(std::move(cold));
+    if (!resident->cycle_safe) {
+      return reliability::require_cycle_safe(spec::SpecificationGraph(spec));
+    }
+    LRT_ASSIGN_OR_RETURN(reliability::SrgEvaluator evaluator,
+                         reliability::SrgEvaluator::FromImplementation(impl));
+    resident->evaluator = std::move(evaluator);
+    resident->checkpointed.resize(spec.tasks().size());
+    for (std::size_t t = 0; t < spec.tasks().size(); ++t) {
+      resident->checkpointed[t] =
+          impl.checkpoints(static_cast<spec::TaskId>(t)) > 0 ? 1 : 0;
+    }
+    counter = "service.analyze_cold";
   } else {
     // Delta addressing: {"task", "hosts", "reexecutions"?} against the
     // resident implementation. Validation mirrors Implementation::Build
-    // (existing task, nonempty duplicate-free existing hosts) and runs
-    // BEFORE any state change, so an invalid mutation cannot poison the
-    // evaluator.
+    // (existing task, nonempty duplicate-free existing hosts, a
+    // re-execution count >= 0, and >= 1 where checkpoints are declared)
+    // and runs BEFORE any state change, so an invalid mutation cannot
+    // poison the evaluator.
     LRT_ASSIGN_OR_RETURN(
         const std::string task_name,
         json_member_string(*mutate, "task", "request.mutate"));
@@ -419,15 +380,19 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
         return InvalidArgumentError(
             "request.mutate.reexecutions must be >= 0");
       }
+      if (value > std::numeric_limits<int>::max()) {
+        return InvalidArgumentError(
+            "request.mutate.reexecutions must be <= " +
+            std::to_string(std::numeric_limits<int>::max()));
+      }
       new_reex = static_cast<int>(value);
     }
-    if (!resident->has_impl) {
+    if (!resident->evaluator.has_value()) {
       return FailedPreconditionError(
           "no implementation is resident for workload " +
           format_fingerprint(resident->fingerprint) +
           "; send a full 'implementation' first");
     }
-    const spec::Specification& spec = *resident->workload.spec;
     const arch::Architecture& arch = *resident->workload.arch;
     const std::optional<spec::TaskId> task = spec.find_task(task_name);
     if (!task.has_value()) {
@@ -439,7 +404,6 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
                                   "' must map to at least one host");
     }
     std::vector<arch::HostId> host_ids;
-    std::vector<std::string> host_names;
     for (const JsonValue& host_doc : hosts_doc->array) {
       if (!host_doc.is_string()) {
         return InvalidArgumentError(
@@ -459,70 +423,42 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
       return InvalidArgumentError("request.mutate: duplicate host for task '" +
                                   task_name + "'");
     }
-    host_names.reserve(host_ids.size());
-    for (const arch::HostId h : host_ids) {
-      host_names.push_back(arch.host(h).name);
+    reliability::SrgEvaluator& evaluator = *resident->evaluator;
+    const int reex = new_reex.value_or(evaluator.reexecutions(*task));
+    if (reex == 0 &&
+        resident->checkpointed[static_cast<std::size_t>(*task)] != 0) {
+      return InvalidArgumentError("request.mutate: task '" + task_name +
+                                  "' declares checkpoints, so it needs "
+                                  "reexecutions >= 1");
     }
-
-    const auto t = static_cast<std::size_t>(*task);
-    const int reex = new_reex.value_or(resident->reexecutions[t]);
-    if (resident->evaluator.has_value() &&
-        reex == resident->reexecutions[t]) {
-      // Hit: one dirty-cone re-propagation; bit-identical to the cold
-      // path by the SrgEvaluator contract.
-      resident->evaluator->set_task_hosts(*task, host_ids);
-      // The service never rolls back, so the undo trail would only grow.
-      resident->evaluator->discard_trail();
-      resident->hosts[t] = host_ids;
-      for (auto& mapping : resident->impl_config.task_mappings) {
-        if (mapping.task == task_name) {
-          mapping.hosts = host_names;
-          break;
-        }
-      }
-      // The fast path's whole cost: the propagation already done plus
-      // O(|cset|) flag reads. A full report adds O(|cset|) SRG compares
-      // and re-encodes only the rows the propagation changed.
-      const reliability::SrgEvaluator& evaluator = *resident->evaluator;
-      reliable = evaluator.all_lrcs_satisfied();
-      unsatisfied = 0;
-      const auto count =
-          static_cast<spec::CommId>(spec.communicators().size());
-      for (spec::CommId c = 0; c < count; ++c) {
-        if (!evaluator.satisfied(c)) ++unsatisfied;
-      }
-      report_from_cache = include_report;
-      if (s != nullptr) s->counter_add("service.analyze_hits");
-    } else {
-      // Re-execution change or no evaluator (non-cycle-safe spec):
-      // rebuild from the mutated resident config for authoritative
-      // semantics and error bytes.
-      impl::ImplementationConfig config = resident->impl_config;
-      for (auto& mapping : config.task_mappings) {
-        if (mapping.task == task_name) {
-          mapping.hosts = host_names;
-          mapping.reexecutions = reex;
-          break;
-        }
-      }
-      LRT_ASSIGN_OR_RETURN(reliability::ReliabilityReport rebuilt,
-                           analyze_cold(std::move(config)));
-      summarize(std::move(rebuilt));
-    }
+    // One dirty-cone re-propagation of lambda_t, whether the hosts or the
+    // re-execution count changed; bit-identical to a cold analysis by the
+    // SrgEvaluator contract.
+    evaluator.set_task_hosts(*task, host_ids, reex);
+    // The service never rolls back, so the undo trail would only grow.
+    evaluator.discard_trail();
   }
+
+  // Both kinds answer from the evaluator: O(|cset|) flag reads, and for a
+  // full report O(|cset|) SRG compares plus re-encoding of the rows whose
+  // SRG changed.
+  const reliability::SrgEvaluator& evaluator = *resident->evaluator;
+  std::int64_t unsatisfied = 0;
+  const auto count = static_cast<spec::CommId>(spec.communicators().size());
+  for (spec::CommId c = 0; c < count; ++c) {
+    if (!evaluator.satisfied(c)) ++unsatisfied;
+  }
+  if (obs::Sink* s = sink()) s->counter_add(counter);
 
   JsonWriter json;
   json.begin_object();
   json.key("fingerprint");
   json.value(format_fingerprint(resident->fingerprint));
   json.key("reliable");
-  json.value(reliable);
+  json.value(evaluator.all_lrcs_satisfied());
   json.key("unsatisfied_comms");
   json.value(unsatisfied);
-  if (report.has_value()) {
-    json.key("report");
-    reliability::write_json(*report, json);
-  } else if (report_from_cache) {
+  if (include_report) {
     json.key("report");
     resident->write_report(json);
   }

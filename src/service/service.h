@@ -4,12 +4,13 @@
 // One Service instance serves many workloads concurrently. Workloads are
 // keyed by lrt::fingerprint() of their canonical spec+arch serialization;
 // a hot workload stays *resident* — its built models plus a live
-// reliability::SrgEvaluator primed with the last analyzed implementation —
-// so an analyze request that mutates one task's host set costs a single
-// dirty-cone re-propagation instead of a full build-and-analyze. Delta
-// analyzes answer with a compact verdict ({reliable, unsatisfied_comms})
-// so the response cost matches the work; "full_report": true opts into
-// the full per-communicator report, byte-identical to the cold path's.
+// reliability::SrgEvaluator primed with the last analyzed implementation,
+// the only copy of it — so an analyze request that mutates one task's
+// host set or re-execution count costs a single dirty-cone
+// re-propagation instead of a full build-and-analyze. Delta analyzes
+// answer with a compact verdict ({reliable, unsatisfied_comms}) so the
+// response cost matches the work; "full_report": true opts into the full
+// per-communicator report, written by the same code as the cold path's.
 // The resident set is LRU-bounded (ServiceOptions::max_resident_workloads);
 // an evicted workload is simply rebuilt on its next full request.
 //
@@ -21,8 +22,8 @@
 //    (campaign timing, search-effort counters) are excluded from the
 //    wire.
 //  * A failed request never poisons resident state: validation runs
-//    before any mutation, and an evaluator is (re)primed only after a
-//    fully successful cold analysis.
+//    before any mutation, and an evaluator is (re)primed only after the
+//    full implementation built and passed analyze()'s precondition.
 //  * Requests are idempotent by id: a replayed id with the same request
 //    bytes returns the cached response bytes without re-executing. A
 //    reused id whose request differs (by a 64-bit FNV-1a digest) gets a

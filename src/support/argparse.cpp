@@ -25,18 +25,6 @@ void ArgParser::add_int(std::string name, std::int64_t* out,
   options_.push_back({std::move(name), Kind::kInt, out, std::move(help)});
 }
 
-void ArgParser::add_uint(std::string name, unsigned* out,
-                         std::string help) {
-  options_.push_back(
-      {std::move(name), Kind::kUint, out, std::move(help)});
-}
-
-void ArgParser::add_double(std::string name, double* out,
-                           std::string help) {
-  options_.push_back(
-      {std::move(name), Kind::kDouble, out, std::move(help)});
-}
-
 void ArgParser::add_repeated(std::string name,
                              std::vector<std::string>* out,
                              std::string help) {
@@ -97,25 +85,6 @@ Status ArgParser::store(const Option& option, std::string_view text) {
         return InvalidArgumentError(option.name + " expects an integer, got '" +
                                     value + "'");
       *static_cast<std::int64_t*>(option.target) = parsed;
-      break;
-    }
-    case Kind::kUint: {
-      const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-          value.front() == '-')
-        return InvalidArgumentError(option.name +
-                                    " expects a non-negative integer, got '" +
-                                    value + "'");
-      *static_cast<unsigned*>(option.target) =
-          static_cast<unsigned>(parsed);
-      break;
-    }
-    case Kind::kDouble: {
-      const double parsed = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || errno == ERANGE)
-        return InvalidArgumentError(option.name + " expects a number, got '" +
-                                    value + "'");
-      *static_cast<double*>(option.target) = parsed;
       break;
     }
   }

@@ -30,8 +30,6 @@ class ArgParser {
   void add_flag(std::string name, bool* out, std::string help);
   void add_string(std::string name, std::string* out, std::string help);
   void add_int(std::string name, std::int64_t* out, std::string help);
-  void add_uint(std::string name, unsigned* out, std::string help);
-  void add_double(std::string name, double* out, std::string help);
   /// Value flag that may repeat; each occurrence appends.
   void add_repeated(std::string name, std::vector<std::string>* out,
                     std::string help);
@@ -66,7 +64,7 @@ class ArgParser {
   [[nodiscard]] std::string usage() const;
 
  private:
-  enum class Kind { kFlag, kString, kInt, kUint, kDouble, kRepeated };
+  enum class Kind { kFlag, kString, kInt, kRepeated };
   struct Option {
     std::string name;  // including the leading "--"
     Kind kind = Kind::kFlag;

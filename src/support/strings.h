@@ -16,9 +16,6 @@ namespace lrt {
 /// Removes leading/trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view text);
 
-/// True iff `text` starts with `prefix`.
-[[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
-
 /// Joins items with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& items,
                                std::string_view sep);

@@ -21,20 +21,4 @@ std::string to_json(const SynthesisResult& result) {
   return std::move(json).str();
 }
 
-Result<SynthesisResult> synthesis_result_from_json(
-    const JsonValue& document) {
-  SynthesisResult result;
-  LRT_ASSIGN_OR_RETURN(
-      const JsonValue* implementation,
-      json_member(document, "implementation", "synthesis"));
-  LRT_ASSIGN_OR_RETURN(result.config,
-                       impl::implementation_config_from_json(*implementation));
-  LRT_ASSIGN_OR_RETURN(
-      const std::int64_t replication_count,
-      json_member_int(document, "replication_count", "synthesis"));
-  result.replication_count =
-      static_cast<std::size_t>(replication_count);
-  return result;
-}
-
 }  // namespace lrt::synth

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "support/json.h"
-#include "support/status.h"
 #include "synth/synthesis.h"
 
 namespace lrt::synth {
@@ -18,11 +17,6 @@ namespace lrt::synth {
 /// {"implementation": <canonical impl config>, "replication_count": n}.
 void write_json(const SynthesisResult& result, JsonWriter& json);
 [[nodiscard]] std::string to_json(const SynthesisResult& result);
-
-/// Summary decoded from the wire: `config` and `replication_count` are
-/// restored, the search-effort counters stay zero.
-[[nodiscard]] Result<SynthesisResult> synthesis_result_from_json(
-    const JsonValue& document);
 
 }  // namespace lrt::synth
 

@@ -1,8 +1,8 @@
 // Differential tests for the incremental SRG evaluator: its SRGs must be
 // BIT-identical (==, not approximately equal) to reliability::analyze's
 // from-scratch induction, across randomized workloads, random single-task
-// host-set mutations, and undo-trail rollbacks — the contract the fast
-// synthesis engine's correctness rests on.
+// host-set and re-execution mutations, and undo-trail rollbacks — the
+// contract the fast synthesis engine and lrtd's resident workloads rest on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,15 +29,18 @@ gen::WorkloadOptions workload_options() {
 }
 
 /// The mutated implementation rebuilt from scratch: assignment[t] replaces
-/// I(t) in the workload's config, everything else unchanged.
+/// I(t) and reexecutions[t] its re-execution count in the workload's
+/// config, everything else unchanged.
 impl::Implementation rebuild(
     const gen::Workload& workload,
-    const std::vector<std::vector<arch::HostId>>& assignment) {
+    const std::vector<std::vector<arch::HostId>>& assignment,
+    const std::vector<int>& reexecutions) {
   impl::ImplementationConfig config = workload.implementation_config;
   const spec::Specification& spec = *workload.specification;
   for (auto& mapping : config.task_mappings) {
     const auto t = spec.find_task(mapping.task);
     EXPECT_TRUE(t.has_value()) << mapping.task;
+    mapping.reexecutions = reexecutions[static_cast<std::size_t>(*t)];
     mapping.hosts.clear();
     for (const arch::HostId h : assignment[static_cast<std::size_t>(*t)]) {
       mapping.hosts.push_back(workload.architecture->host(h).name);
@@ -102,13 +105,15 @@ TEST(SrgEvaluator, MatchesAnalyzeUnderRandomSingleTaskMutations) {
     const auto num_tasks = static_cast<spec::TaskId>(spec.tasks().size());
     const auto num_hosts = arch.hosts().size();
     std::vector<std::vector<arch::HostId>> assignment;
+    std::vector<int> reexecutions(static_cast<std::size_t>(num_tasks), 0);
     for (spec::TaskId t = 0; t < num_tasks; ++t) {
       assignment.push_back(workload->implementation->hosts_for(t));
     }
 
     for (int mutation = 0; mutation < 25; ++mutation) {
       // Random task, random nonempty host subset (ascending, like
-      // Implementation stores it).
+      // Implementation stores it); one mutation in three also changes the
+      // task's re-execution count.
       const auto t = static_cast<spec::TaskId>(
           rng.next_below(static_cast<std::uint64_t>(num_tasks)));
       const std::uint64_t mask =
@@ -118,8 +123,17 @@ TEST(SrgEvaluator, MatchesAnalyzeUnderRandomSingleTaskMutations) {
       for (std::size_t h = 0; h < num_hosts; ++h) {
         if ((mask >> h) & 1u) hosts.push_back(static_cast<arch::HostId>(h));
       }
-      eval->set_task_hosts(t, hosts);
-      const impl::Implementation mutated = rebuild(*workload, assignment);
+      if (rng.next_below(3) == 0) {
+        int& count = reexecutions[static_cast<std::size_t>(t)];
+        count = static_cast<int>(rng.next_below(3));
+        eval->set_task_hosts(t, hosts, count);
+      } else {
+        eval->set_task_hosts(t, hosts);
+      }
+      EXPECT_EQ(eval->reexecutions(t),
+                reexecutions[static_cast<std::size_t>(t)]);
+      const impl::Implementation mutated =
+          rebuild(*workload, assignment, reexecutions);
       expect_bit_identical(*eval, mutated,
                            "seed " + std::to_string(seed) + " mutation " +
                                std::to_string(mutation));
@@ -155,9 +169,21 @@ TEST(SrgEvaluator, RollbackRestoresBitIdenticalState) {
       for (std::size_t h = 0; h < num_hosts; ++h) {
         if ((mask >> h) & 1u) hosts.push_back(static_cast<arch::HostId>(h));
       }
-      eval->set_task_hosts(t, hosts);
+      if (mutation % 2 == 0) {
+        eval->set_task_hosts(t, hosts,
+                             1 + static_cast<int>(rng.next_below(3)));
+      } else {
+        eval->set_task_hosts(t, hosts);
+      }
     }
     eval->rollback(mark);
+
+    // Every re-execution count is back to the implementation's.
+    for (spec::TaskId t = 0; t < num_tasks; ++t) {
+      EXPECT_EQ(eval->reexecutions(t),
+                workload->implementation->reexecutions(t))
+          << "seed " << seed << " task " << t;
+    }
 
     ASSERT_EQ(eval->srgs().size(), srgs_before.size());
     for (std::size_t c = 0; c < srgs_before.size(); ++c) {

@@ -112,16 +112,21 @@ std::string cold_analyze_extra(const impl::ImplementationConfig& config) {
          ",\"implementation\":" + impl::to_json(config);
 }
 
-std::string mutate_extra(std::string_view fingerprint, std::string_view task,
-                         const std::vector<std::string>& hosts,
-                         bool full_report = false) {
+std::string mutate_extra(
+    std::string_view fingerprint, std::string_view task,
+    const std::vector<std::string>& hosts, bool full_report = false,
+    std::optional<std::int64_t> reexecutions = std::nullopt) {
   JsonWriter hosts_json;
   hosts_json.begin_array();
   for (const std::string& host : hosts) hosts_json.value(host);
   hosts_json.end_array();
   std::string extra = "\"fingerprint\":\"" + std::string(fingerprint) +
                       "\",\"mutate\":{\"task\":\"" + std::string(task) +
-                      "\",\"hosts\":" + std::move(hosts_json).str() + "}";
+                      "\",\"hosts\":" + std::move(hosts_json).str();
+  if (reexecutions.has_value()) {
+    extra += ",\"reexecutions\":" + std::to_string(*reexecutions);
+  }
+  extra += "}";
   if (full_report) extra += ",\"full_report\":true";
   return extra;
 }
@@ -360,6 +365,91 @@ TEST(Service, InvalidMutateDoesNotPoisonResidentState) {
   EXPECT_EQ(hit, rebuilt);
 }
 
+TEST(Service, ReexecutionDeltaIsAHitByteIdenticalToColdAnalyze) {
+  obs::MetricsRegistry metrics;
+  obs::Sink sink(&metrics, nullptr);
+  ServiceOptions options;
+  options.sink = &sink;
+  Service warm(options);
+  const std::string cold = handle_ok(
+      warm, make_frame("c1", "analyze",
+                       cold_analyze_extra(make_impl_config({"h1", "h2"}))));
+  const std::string fp = response_fingerprint(cold);
+  const std::string hit = handle_ok(
+      warm, make_frame("m1", "analyze",
+                       mutate_extra(fp, "filter", {"h2"}, true, 2)));
+
+  // A re-execution change re-propagates the resident evaluator like a
+  // host change does: one cold analysis, one hit.
+  const auto snapshot = metrics.snapshot();
+  EXPECT_EQ(snapshot.counter("service.analyze_cold"), 1);
+  EXPECT_EQ(snapshot.counter("service.analyze_hits"), 1);
+
+  impl::ImplementationConfig mutated = make_impl_config({"h2"});
+  mutated.task_mappings[0].reexecutions = 2;
+  Service fresh;
+  EXPECT_EQ(hit, handle_ok(fresh, make_frame("m1", "analyze",
+                                             cold_analyze_extra(mutated))));
+}
+
+TEST(Service, ReexecutionDeltaKeepsBuildRules) {
+  // A checkpointed task needs re-executions (Implementation::Build), so a
+  // delta to zero is rejected and leaves the resident state as it was.
+  impl::ImplementationConfig checkpointed = make_impl_config({"h1"});
+  checkpointed.task_mappings[0].reexecutions = 1;
+  checkpointed.task_mappings[0].checkpoints = 1;
+  Service warm;
+  const std::string cold = handle_ok(
+      warm, make_frame("c1", "analyze", cold_analyze_extra(checkpointed)));
+  const std::string fp = response_fingerprint(cold);
+  for (const std::int64_t count : {std::int64_t{0}, std::int64_t{-1},
+                                   std::int64_t{4294967295}}) {
+    handle_error(warm,
+                 make_frame("e" + std::to_string(count), "analyze",
+                            mutate_extra(fp, "filter", {"h2"}, true, count)),
+                 "kInvalidArgument");
+  }
+
+  // The count the delta leaves out stays the resident one (1).
+  const std::string hit = handle_ok(
+      warm, make_frame("m1", "analyze",
+                       mutate_extra(fp, "filter", {"h2"}, true)));
+  impl::ImplementationConfig expected = checkpointed;
+  expected.task_mappings[0].hosts = {"h2"};
+  Service fresh;
+  EXPECT_EQ(hit, handle_ok(fresh, make_frame("m1", "analyze",
+                                             cold_analyze_extra(expected))));
+}
+
+TEST(Service, ColdAnalyzeOfUnsafeCycleKeepsTheAnalysisError) {
+  // One series task reading and writing c: a cycle no independent-model
+  // task cuts. The reply carries reliability::analyze's error text.
+  spec::SpecificationConfig spec_config;
+  spec_config.name = "unsafe";
+  spec_config.communicators = {
+      {"c", spec::ValueType::kReal, spec::Value::real(0.0), 10, 0.5}};
+  spec::SpecificationConfig::TaskConfig loop;
+  loop.name = "loop";
+  loop.inputs = {{"c", 0}};
+  loop.outputs = {{"c", 1}};
+  loop.model = spec::FailureModel::kSeries;
+  spec_config.tasks.push_back(std::move(loop));
+  impl::ImplementationConfig impl_config;
+  impl_config.task_mappings = {{"loop", {"h1"}, 0, 0, 0}};
+
+  Service service;
+  const ServiceReply reply = service.handle(make_frame(
+      "u1", "analyze",
+      "\"spec\":" + spec::to_json(spec_config) +
+          ",\"arch\":" + arch::to_json(make_arch_config()) +
+          ",\"implementation\":" + impl::to_json(impl_config)));
+  EXPECT_EQ(reply.frame,
+            "{\"schema\":1,\"id\":\"u1\",\"ok\":false,\"error\":{"
+            "\"code\":\"kFailedPrecondition\",\"message\":\"reliability "
+            "analysis requires a cycle-safe specification:\\ncycle 0: "
+            "{c}\\n\"}}");
+}
+
 TEST(Service, MutateWithoutResidentImplementationFailsPrecondition) {
   Service service;
   // spec+arch make the workload resident, but no implementation was ever
@@ -584,7 +674,7 @@ TEST(Service, RandomizedDeltaStreamMatchesFacadeReports) {
     }
     std::optional<int> reexecutions;
     if (action == 1) {
-      // Re-execution change: the rebuild path, which re-primes.
+      // Re-execution change: a re-execution delta.
       reexecutions = mapping.reexecutions == 0 ? 1 : 0;
       ++rebuilds;
     }

@@ -1,4 +1,4 @@
-// Unit tests for src/support: Status/Result, Rational, RNG, math helpers,
+// Unit tests for src/support: Status/Result, RNG, math helpers,
 // string helpers, hashing, and the argument parser.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "support/argparse.h"
 #include "support/hash.h"
 #include "support/math_util.h"
-#include "support/rational.h"
 #include "support/rng.h"
 #include "support/status.h"
 #include "support/strings.h"
@@ -75,52 +74,6 @@ TEST(Result, AssignOrReturnPropagates) {
   EXPECT_EQ(*quarter(8), 2);
   EXPECT_FALSE(quarter(6).ok());   // 3 is odd
   EXPECT_FALSE(quarter(7).ok());
-}
-
-// --- Rational ---
-
-TEST(Rational, NormalizesSignAndGcd) {
-  const Rational r(6, -4);
-  EXPECT_EQ(r.num(), -3);
-  EXPECT_EQ(r.den(), 2);
-}
-
-TEST(Rational, Arithmetic) {
-  const Rational a(1, 3);
-  const Rational b(1, 6);
-  EXPECT_EQ(a + b, Rational(1, 2));
-  EXPECT_EQ(a - b, Rational(1, 6));
-  EXPECT_EQ(a * b, Rational(1, 18));
-  EXPECT_EQ(a / b, Rational(2));
-  EXPECT_EQ(-a, Rational(-1, 3));
-}
-
-TEST(Rational, Comparisons) {
-  EXPECT_LT(Rational(1, 3), Rational(1, 2));
-  EXPECT_GT(Rational(-1, 3), Rational(-1, 2));
-  EXPECT_EQ(Rational(2, 4), Rational(1, 2));
-  EXPECT_LE(Rational(5), Rational(5));
-}
-
-TEST(Rational, IntegerConversion) {
-  EXPECT_TRUE(Rational(8, 4).is_integer());
-  EXPECT_EQ(Rational(8, 4).to_integer(), 2);
-  EXPECT_FALSE(Rational(1, 2).is_integer());
-  EXPECT_DOUBLE_EQ(Rational(1, 2).to_double(), 0.5);
-}
-
-TEST(Rational, FloorCeil) {
-  EXPECT_EQ(floor(Rational(7, 2)), 3);
-  EXPECT_EQ(ceil(Rational(7, 2)), 4);
-  EXPECT_EQ(floor(Rational(-7, 2)), -4);
-  EXPECT_EQ(ceil(Rational(-7, 2)), -3);
-  EXPECT_EQ(floor(Rational(4)), 4);
-  EXPECT_EQ(ceil(Rational(4)), 4);
-}
-
-TEST(Rational, ToString) {
-  EXPECT_EQ(Rational(3).to_string(), "3");
-  EXPECT_EQ(Rational(-1, 2).to_string(), "-1/2");
 }
 
 // --- RNG ---
