@@ -225,15 +225,9 @@ void write_json(const ReliabilityReport& report, JsonWriter& json) {
 }
 
 void write_json(bool reliable, bool memory_free, bool cycle_safe,
-                std::span<const std::string> verdict_fragments,
-                JsonWriter& json) {
+                std::string_view verdicts_body, JsonWriter& json) {
   write_report_envelope(
-      reliable, memory_free, cycle_safe,
-      [&] {
-        for (const std::string& fragment : verdict_fragments) {
-          json.raw(fragment);
-        }
-      },
+      reliable, memory_free, cycle_safe, [&] { json.raw(verdicts_body); },
       json);
 }
 

@@ -28,6 +28,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "impl/implementation.h"
@@ -94,13 +95,12 @@ void write_json(const ReliabilityReport& report, JsonWriter& json);
 /// One communicators[] entry of that document: the only definition of a
 /// verdict's bytes.
 void write_verdict_json(const CommunicatorVerdict& verdict, JsonWriter& json);
-/// The same document assembled from pre-encoded write_verdict_json
-/// fragments (one per communicator, CommId order): byte-identical to
-/// write_json over the report they encode. For callers that keep each
-/// row's bytes across reports (lrtd's resident workloads).
+/// The same document around `verdicts_body`, the write_verdict_json
+/// rows of every communicator in CommId order joined by commas:
+/// byte-identical to write_json over the report they encode. For callers
+/// that keep the rows' bytes across reports (lrtd's resident workloads).
 void write_json(bool reliable, bool memory_free, bool cycle_safe,
-                std::span<const std::string> verdict_fragments,
-                JsonWriter& json);
+                std::string_view verdicts_body, JsonWriter& json);
 /// Exact inverse of write_json/to_json; verdict comm ids are recovered
 /// from the array order (verdicts are emitted in CommId order).
 [[nodiscard]] Result<ReliabilityReport> report_from_json(

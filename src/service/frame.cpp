@@ -4,28 +4,12 @@
 #include <cstdint>
 #include <cstring>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace lrt::service {
 
 namespace {
-
-Status write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ::ssize_t written = ::write(fd, data, size);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE || errno == ECONNRESET) {
-        return UnavailableError("peer closed the connection");
-      }
-      return InternalError(std::string("frame write failed: ") +
-                           std::strerror(errno));
-    }
-    data += written;
-    size -= static_cast<std::size_t>(written);
-  }
-  return Status::Ok();
-}
 
 /// Reads exactly `size` bytes. Returns false on EOF before the first
 /// byte (only meaningful with allow_eof), errors on EOF mid-read.
@@ -64,8 +48,38 @@ Status write_frame(int fd, std::string_view payload) {
                     static_cast<char>(size >> 16),
                     static_cast<char>(size >> 8),
                     static_cast<char>(size)};
-  LRT_RETURN_IF_ERROR(write_all(fd, prefix, sizeof prefix));
-  return write_all(fd, payload.data(), payload.size());
+  // Prefix and payload leave in one sendmsg; a short send resumes from
+  // the first unsent byte, whichever of the two it falls in.
+  // MSG_NOSIGNAL turns a closed peer into EPIPE instead of SIGPIPE, so
+  // the caller gets kUnavailable whether or not it ignores the signal.
+  iovec parts[2] = {{prefix, sizeof prefix},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  iovec* next = parts;
+  iovec* const end = parts + 2;
+  while (next != end) {
+    msghdr message{};
+    message.msg_iov = next;
+    message.msg_iovlen = static_cast<std::size_t>(end - next);
+    const ::ssize_t written = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (written < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EPIPE || errno == ECONNRESET) {
+        return UnavailableError("peer closed the connection");
+      }
+      return InternalError(std::string("frame write failed: ") +
+                           std::strerror(errno));
+    }
+    auto left = static_cast<std::size_t>(written);
+    while (next != end && left >= next->iov_len) {
+      left -= next->iov_len;
+      ++next;
+    }
+    if (next != end) {
+      next->iov_base = static_cast<char*>(next->iov_base) + left;
+      next->iov_len -= left;
+    }
+  }
+  return Status::Ok();
 }
 
 Result<std::optional<std::string>> read_frame(int fd) {

@@ -23,8 +23,10 @@ namespace lrt::service {
 /// "length" is really payload bytes.
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;  // 64 MiB
 
-/// Writes one frame, retrying on EINTR/partial writes. kUnavailable on
-/// a closed peer (EPIPE/ECONNRESET), kInternal on other I/O errors.
+/// Writes one frame to the socket `fd`: prefix and payload in one
+/// sendmsg(), resumed after EINTR and partial sends. kUnavailable on a
+/// closed peer (EPIPE/ECONNRESET; never SIGPIPE), kInternal on other I/O
+/// errors, kInvalidArgument (nothing written) above kMaxFramePayload.
 [[nodiscard]] Status write_frame(int fd, std::string_view payload);
 
 /// Reads one frame. nullopt on clean EOF at a frame boundary;

@@ -66,9 +66,7 @@ Result<Request> parse_request(const JsonValue& document,
   return request;
 }
 
-std::string make_ok_frame(std::string_view id,
-                          std::string_view result_json) {
-  JsonWriter json;
+void begin_ok_frame(std::string_view id, JsonWriter& json) {
   json.begin_object();
   json.key("schema");
   json.value(kWireSchemaVersion);
@@ -77,6 +75,12 @@ std::string make_ok_frame(std::string_view id,
   json.key("ok");
   json.value(true);
   json.key("result");
+}
+
+std::string make_ok_frame(std::string_view id,
+                          std::string_view result_json) {
+  JsonWriter json;
+  begin_ok_frame(id, json);
   json.raw(result_json);
   json.end_object();
   return std::move(json).str();

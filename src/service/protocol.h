@@ -62,6 +62,12 @@ struct Request {
 [[nodiscard]] Result<Request> parse_request(const JsonValue& document,
                                             std::string_view where);
 
+/// Opens {"schema":1,"id":"...","ok":true,"result": in `json`, which
+/// must be empty. The caller writes the result value, then closes the
+/// envelope with json.end_object(): a verb writes its result straight
+/// into the frame the transport sends.
+void begin_ok_frame(std::string_view id, JsonWriter& json);
+
 /// {"schema":1,"id":"...","ok":true,"result":<result_json>}. The caller
 /// vouches that `result_json` is one well-formed JSON value.
 [[nodiscard]] std::string make_ok_frame(std::string_view id,

@@ -131,6 +131,18 @@ void write_validation_json(const sim::ValidationReport& report,
   json.end_object();
 }
 
+/// A reply owning `buffer`, its frame a view of it.
+ServiceReply make_reply(std::shared_ptr<const std::string> buffer) {
+  ServiceReply reply;
+  reply.frame = *buffer;
+  reply.buffer = std::move(buffer);
+  return reply;
+}
+
+ServiceReply make_reply(std::string frame) {
+  return make_reply(std::make_shared<const std::string>(std::move(frame)));
+}
+
 }  // namespace
 
 /// A workload held hot: the built models and an SrgEvaluator primed
@@ -154,27 +166,40 @@ struct Service::Resident {
   /// there).
   std::vector<std::uint8_t> checkpointed;
 
-  /// Full-report cache: one reliability::write_verdict_json fragment per
-  /// communicator (CommId order) and the bit pattern of the SRG it
-  /// encodes. A row's other fields are its fixed name and LRC or
-  /// functions of its SRG, so a changed bit pattern is the only
-  /// staleness signal, and the rows stay valid across implementations.
-  /// Empty until the first report.
-  std::vector<std::string> report_rows;
+  /// Full-report cache: the report's communicators array as one string,
+  /// the reliability::write_verdict_json rows of every communicator
+  /// (CommId order) joined by commas, plus where each row starts and the
+  /// bit pattern of the SRG it encodes. Row c spans [report_row_starts[c],
+  /// report_row_starts[c + 1] - 1); the extra last start sits one past
+  /// the body, as if a comma followed the last row. A row's other fields
+  /// are its fixed name and LRC or functions of its SRG, so a changed bit
+  /// pattern is the only staleness signal, and the rows stay valid
+  /// across implementations. Empty until the first report.
+  std::string report_body;
+  std::vector<std::size_t> report_row_starts;
   std::vector<std::uint64_t> report_row_srg_bits;
 
   /// Writes the analyze() report of the evaluator's state, re-encoding
-  /// only the rows whose SRG changed since the last call. The bytes are
-  /// reliability::write_json's over make_report of bit-identical SRGs
-  /// (the SrgEvaluator contract), so every response matches the one-shot
-  /// facade's. Call with `mutex` held and `evaluator` present.
+  /// only the rows whose SRG changed since the last call and splicing
+  /// them into the body in place. The bytes are reliability::write_json's
+  /// over make_report of bit-identical SRGs (the SrgEvaluator contract),
+  /// so every response matches the one-shot facade's. Call with `mutex`
+  /// held and `evaluator` present.
   void write_report(JsonWriter& json) {
     const spec::Specification& spec = *workload.spec;
     const std::size_t count = spec.communicators().size();
-    const bool fresh = report_rows.size() != count;
-    report_rows.resize(count);
-    report_row_srg_bits.resize(count);
+    const bool fresh = report_row_srg_bits.size() != count;
+    if (fresh) {
+      // Every row starts empty; the splice below writes each one.
+      report_body.assign(count > 0 ? count - 1 : 0, ',');
+      report_row_starts.resize(count + 1);
+      for (std::size_t c = 0; c <= count; ++c) report_row_starts[c] = c;
+      report_row_srg_bits.resize(count);
+    }
+    // A spliced row of another length moves every later row by `shift`.
+    std::ptrdiff_t shift = 0;
     for (std::size_t c = 0; c < count; ++c) {
+      report_row_starts[c] += static_cast<std::size_t>(shift);
       const auto comm = static_cast<spec::CommId>(c);
       const double srg = evaluator->srg(comm);
       const auto bits = std::bit_cast<std::uint64_t>(srg);
@@ -188,11 +213,19 @@ struct Service::Resident {
       verdict.satisfied = evaluator->satisfied(comm);
       JsonWriter row;
       reliability::write_verdict_json(verdict, row);
-      report_rows[c] = std::move(row).str();
+      const std::string encoded = std::move(row).str();
+      const std::size_t start = report_row_starts[c];
+      const std::size_t length =
+          report_row_starts[c + 1] + static_cast<std::size_t>(shift) - 1 -
+          start;
+      report_body.replace(start, length, encoded);
+      shift += static_cast<std::ptrdiff_t>(encoded.size()) -
+               static_cast<std::ptrdiff_t>(length);
       report_row_srg_bits[c] = bits;
     }
+    report_row_starts[count] += static_cast<std::size_t>(shift);
     reliability::write_json(evaluator->all_lrcs_satisfied(), memory_free,
-                            cycle_safe, report_rows, json);
+                            cycle_safe, report_body, json);
   }
 };
 
@@ -229,6 +262,11 @@ std::optional<std::size_t> Service::resident_trail_mark(
   const std::lock_guard<std::mutex> lock(resident->mutex);
   if (!resident->evaluator.has_value()) return std::nullopt;
   return resident->evaluator->mark();
+}
+
+std::size_t Service::replay_cache_bytes() const {
+  const std::lock_guard<std::mutex> lock(idempotency_mutex_);
+  return replay_bytes_;
 }
 
 void Service::touch_locked(std::uint64_t fingerprint) {
@@ -311,7 +349,7 @@ Result<std::shared_ptr<Service::Resident>> Service::resolve_workload(
   return residents_.find(fp)->second.resident;
 }
 
-Result<std::string> Service::do_analyze(const JsonValue& body) {
+Status Service::do_analyze(const JsonValue& body, JsonWriter& json) {
   LRT_ASSIGN_OR_RETURN(const std::shared_ptr<Resident> resident,
                        resolve_workload(body, "request"));
   const JsonValue* impl_doc = body.find("implementation");
@@ -450,7 +488,13 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
   }
   if (obs::Sink* s = sink()) s->counter_add(counter);
 
-  JsonWriter json;
+  // The frame's size is known to within a few bytes (the last report's
+  // body, give or take the rows this delta re-encodes): one allocation.
+  constexpr std::size_t kResultBytes = 96;   // fingerprint, verdict, count
+  constexpr std::size_t kReportBytes = 256;  // report envelope, row growth
+  json.reserve(json.size() + kResultBytes +
+               (include_report ? kReportBytes + resident->report_body.size()
+                               : 0));
   json.begin_object();
   json.key("fingerprint");
   json.value(format_fingerprint(resident->fingerprint));
@@ -463,10 +507,10 @@ Result<std::string> Service::do_analyze(const JsonValue& body) {
     resident->write_report(json);
   }
   json.end_object();
-  return std::move(json).str();
+  return Status::Ok();
 }
 
-Result<std::string> Service::do_synthesize(const JsonValue& body) {
+Status Service::do_synthesize(const JsonValue& body, JsonWriter& json) {
   LRT_ASSIGN_OR_RETURN(const std::shared_ptr<Resident> resident,
                        resolve_workload(body, "request"));
   LRT_ASSIGN_OR_RETURN(
@@ -489,17 +533,16 @@ Result<std::string> Service::do_synthesize(const JsonValue& body) {
   LRT_ASSIGN_OR_RETURN(const synth::SynthesisResult result,
                        lrt::synthesize(resident->workload,
                                        std::move(bindings), options));
-  JsonWriter json;
   json.begin_object();
   json.key("fingerprint");
   json.value(format_fingerprint(resident->fingerprint));
   json.key("synthesis");
   json.raw(synth::to_json(result));
   json.end_object();
-  return std::move(json).str();
+  return Status::Ok();
 }
 
-Result<std::string> Service::do_validate(const JsonValue& body) {
+Status Service::do_validate(const JsonValue& body, JsonWriter& json) {
   LRT_ASSIGN_OR_RETURN(const std::shared_ptr<Resident> resident,
                        resolve_workload(body, "request"));
   LRT_ASSIGN_OR_RETURN(const JsonValue* impl_doc,
@@ -534,17 +577,16 @@ Result<std::string> Service::do_validate(const JsonValue& body) {
   }
   LRT_ASSIGN_OR_RETURN(const sim::ValidationReport report,
                        lrt::validate(resident->workload, impl, options));
-  JsonWriter json;
   json.begin_object();
   json.key("fingerprint");
   json.value(format_fingerprint(resident->fingerprint));
   json.key("validation");
   write_validation_json(report, json);
   json.end_object();
-  return std::move(json).str();
+  return Status::Ok();
 }
 
-Result<std::string> Service::do_lint(const JsonValue& body) {
+Status Service::do_lint(const JsonValue& body, JsonWriter& json) {
   LRT_ASSIGN_OR_RETURN(const std::string source,
                        json_member_string(body, "source", "request"));
   lint::LintOptions options;
@@ -556,7 +598,6 @@ Result<std::string> Service::do_lint(const JsonValue& body) {
   }
   LRT_ASSIGN_OR_RETURN(const lint::LintResult result,
                        lrt::check(source, options));
-  JsonWriter json;
   json.begin_object();
   json.key("flattened");
   json.value(result.flattened);
@@ -569,10 +610,11 @@ Result<std::string> Service::do_lint(const JsonValue& body) {
   json.key("lint");
   json.raw(lint::to_json(result.diagnostics));
   json.end_object();
-  return std::move(json).str();
+  return Status::Ok();
 }
 
-Result<std::string> Service::do_update_check(const JsonValue& body) {
+Status Service::do_update_check(const JsonValue& body,
+                                JsonWriter& json) {
   LRT_ASSIGN_OR_RETURN(const std::shared_ptr<Resident> resident,
                        resolve_workload(body, "request"));
   LRT_ASSIGN_OR_RETURN(const JsonValue* impl_doc,
@@ -599,7 +641,6 @@ Result<std::string> Service::do_update_check(const JsonValue& body) {
       engine.propose(0, std::move(proposed), std::move(bindings)));
   const adapt::UpdateReport& report = engine.report();
 
-  JsonWriter json;
   json.begin_object();
   json.key("fingerprint");
   json.value(format_fingerprint(resident->fingerprint));
@@ -626,18 +667,17 @@ Result<std::string> Service::do_update_check(const JsonValue& body) {
     json.null();
   }
   json.end_object();
-  return std::move(json).str();
+  return Status::Ok();
 }
 
-Result<std::string> Service::do_batch(
-    const JsonValue& body, std::int64_t arrival_ms,
-    std::optional<std::int64_t> deadline_at_ms, bool* deadline_in_batch) {
+Status Service::do_batch(const JsonValue& body, std::int64_t arrival_ms,
+                         std::optional<std::int64_t> deadline_at_ms,
+                         bool* deadline_in_batch, JsonWriter& json) {
   LRT_ASSIGN_OR_RETURN(const JsonValue* items,
                        json_member(body, "items", "request"));
   if (!items->is_array()) {
     return InvalidArgumentError("request.items must be an array");
   }
-  JsonWriter json;
   json.begin_object();
   json.key("items");
   json.begin_array();
@@ -679,16 +719,11 @@ Result<std::string> Service::do_batch(
                           : item_deadline;
         }
         bool item_shutdown = false;
-        Result<std::string> result = run_verb(
-            *parsed, arrival_ms, effective, &item_shutdown,
-            deadline_in_batch);
-        if (result.ok()) {
-          item_frame = make_ok_frame(parsed->id, *result);
-        } else {
-          if (result.status().code() == StatusCode::kDeadlineExceeded) {
-            *deadline_in_batch = true;
-          }
-          item_frame = make_error_frame(parsed->id, result.status());
+        const Status status =
+            run_to_frame(*parsed, arrival_ms, effective, &item_shutdown,
+                         deadline_in_batch, &item_frame);
+        if (status.code() == StatusCode::kDeadlineExceeded) {
+          *deadline_in_batch = true;
         }
       }
     }
@@ -696,51 +731,81 @@ Result<std::string> Service::do_batch(
   }
   json.end_array();
   json.end_object();
-  return std::move(json).str();
+  return Status::Ok();
 }
 
-Result<std::string> Service::run_verb(
-    const Request& request, std::int64_t arrival_ms,
-    std::optional<std::int64_t> deadline_at_ms, bool* shutdown,
-    bool* deadline_in_batch) {
+Status Service::run_verb(const Request& request, std::int64_t arrival_ms,
+                         std::optional<std::int64_t> deadline_at_ms,
+                         bool* shutdown, bool* deadline_in_batch,
+                         JsonWriter& json) {
   if (deadline_at_ms.has_value() && now_ms() > *deadline_at_ms) {
     return DeadlineExceededError(
         "deadline of request '" + request.id + "' expired before the " +
         std::string(verb_name(request.verb)) + " verb ran");
   }
   switch (request.verb) {
-    case Verb::kPing: {
-      JsonWriter json;
+    case Verb::kPing:
       json.begin_object();
       json.key("pong");
       json.value(true);
       json.end_object();
-      return std::move(json).str();
-    }
-    case Verb::kShutdown: {
+      return Status::Ok();
+    case Verb::kShutdown:
       *shutdown = true;
-      JsonWriter json;
       json.begin_object();
       json.key("stopping");
       json.value(true);
       json.end_object();
-      return std::move(json).str();
-    }
+      return Status::Ok();
     case Verb::kAnalyze:
-      return do_analyze(*request.body);
+      return do_analyze(*request.body, json);
     case Verb::kSynthesize:
-      return do_synthesize(*request.body);
+      return do_synthesize(*request.body, json);
     case Verb::kValidate:
-      return do_validate(*request.body);
+      return do_validate(*request.body, json);
     case Verb::kLint:
-      return do_lint(*request.body);
+      return do_lint(*request.body, json);
     case Verb::kUpdateCheck:
-      return do_update_check(*request.body);
+      return do_update_check(*request.body, json);
     case Verb::kBatch:
       return do_batch(*request.body, arrival_ms, deadline_at_ms,
-                      deadline_in_batch);
+                      deadline_in_batch, json);
   }
   return InternalError("unhandled verb");
+}
+
+Status Service::run_to_frame(const Request& request, std::int64_t arrival_ms,
+                             std::optional<std::int64_t> deadline_at_ms,
+                             bool* shutdown, bool* deadline_in_batch,
+                             std::string* frame) {
+  JsonWriter json;
+  begin_ok_frame(request.id, json);
+  Status status = run_verb(request, arrival_ms, deadline_at_ms, shutdown,
+                           deadline_in_batch, json);
+  if (status.ok()) {
+    json.end_object();
+    *frame = std::move(json).str();
+  } else {
+    *frame = make_error_frame(request.id, status);
+  }
+  return status;
+}
+
+void Service::remember_reply(const std::string& id, std::uint64_t digest,
+                             std::shared_ptr<const std::string> frame) {
+  const std::size_t bytes = frame->size();
+  if (bytes > kMaxIdempotencyBytes) return;
+  const std::lock_guard<std::mutex> lock(idempotency_mutex_);
+  if (!replays_.emplace(id, Replay{digest, std::move(frame)}).second) return;
+  replay_order_.push_back(id);
+  replay_bytes_ += bytes;
+  while (replays_.size() > options_.max_idempotency_entries ||
+         replay_bytes_ > kMaxIdempotencyBytes) {
+    const auto oldest = replays_.find(replay_order_.front());
+    replay_bytes_ -= oldest->second.frame->size();
+    replays_.erase(oldest);
+    replay_order_.pop_front();
+  }
 }
 
 ServiceReply Service::handle(std::string_view request_frame) {
@@ -756,10 +821,10 @@ ServiceReply Service::handle(std::string_view request_frame) {
   if (s != nullptr) s->counter_add("service.requests");
   const std::int64_t arrival_ms = now_ms();
 
-  ServiceReply reply;
   const Result<JsonValue> document = parse_json(request_frame);
   if (!document.ok()) {
-    reply.frame = make_error_frame(std::nullopt, document.status());
+    ServiceReply reply =
+        make_reply(make_error_frame(std::nullopt, document.status()));
     if (s != nullptr) s->counter_add("service.errors");
     record_latency();
     return reply;
@@ -771,7 +836,7 @@ ServiceReply Service::handle(std::string_view request_frame) {
         id_doc != nullptr && id_doc->is_string()) {
       id = id_doc->string;
     }
-    reply.frame = make_error_frame(id, request.status());
+    ServiceReply reply = make_reply(make_error_frame(id, request.status()));
     if (s != nullptr) s->counter_add("service.errors");
     record_latency();
     return reply;
@@ -780,24 +845,30 @@ ServiceReply Service::handle(std::string_view request_frame) {
   // A cached id replays only for the same request bytes; a reused id
   // with another body gets a typed error, never another request's reply.
   const std::uint64_t digest = hash_bytes(request_frame);
+  bool id_seen = false;
+  std::shared_ptr<const std::string> cached;  // null on a digest mismatch
   {
     const std::lock_guard<std::mutex> lock(idempotency_mutex_);
     const auto it = replays_.find(request->id);
     if (it != replays_.end()) {
-      if (it->second.digest == digest) {
-        if (s != nullptr) s->counter_add("service.idempotent_replays");
-        reply.frame = it->second.frame;
-      } else {
-        if (s != nullptr) s->counter_add("service.errors");
-        reply.frame = make_error_frame(
-            request->id,
-            AlreadyExistsError("request id '" + request->id +
-                               "' was already used by a different "
-                               "request"));
-      }
-      record_latency();
-      return reply;
+      id_seen = true;
+      if (it->second.digest == digest) cached = it->second.frame;
     }
+  }
+  if (id_seen) {
+    ServiceReply reply;
+    if (cached != nullptr) {
+      if (s != nullptr) s->counter_add("service.idempotent_replays");
+      reply = make_reply(std::move(cached));
+    } else {
+      if (s != nullptr) s->counter_add("service.errors");
+      reply = make_reply(make_error_frame(
+          request->id, AlreadyExistsError("request id '" + request->id +
+                                          "' was already used by a "
+                                          "different request")));
+    }
+    record_latency();
+    return reply;
   }
 
   const obs::SpanGuard span(s, "service", verb_name(request->verb));
@@ -807,46 +878,34 @@ ServiceReply Service::handle(std::string_view request_frame) {
   }
   bool shutdown = false;
   bool deadline_in_batch = false;
-  const Result<std::string> result = run_verb(
-      *request, arrival_ms, deadline_at_ms, &shutdown, &deadline_in_batch);
+  std::string frame;
+  const Status status =
+      run_to_frame(*request, arrival_ms, deadline_at_ms, &shutdown,
+                   &deadline_in_batch, &frame);
+  ServiceReply reply = make_reply(std::move(frame));
+  reply.shutdown = shutdown;
 
-  bool cacheable = true;
-  if (result.ok()) {
-    reply.frame = make_ok_frame(request->id, *result);
+  bool cacheable = !deadline_in_batch;
+  if (status.ok()) {
     if (s != nullptr) s->counter_add("service.ok");
   } else {
-    reply.frame = make_error_frame(request->id, result.status());
     if (s != nullptr) s->counter_add("service.errors");
-    const StatusCode code = result.status().code();
-    if (code == StatusCode::kUnavailable ||
-        code == StatusCode::kDeadlineExceeded) {
+    if (status.code() == StatusCode::kUnavailable ||
+        status.code() == StatusCode::kDeadlineExceeded) {
       cacheable = false;
     }
   }
-  if (deadline_in_batch) cacheable = false;
-  if (!result.ok() &&
-      result.status().code() == StatusCode::kDeadlineExceeded) {
+  if (status.code() == StatusCode::kDeadlineExceeded) {
     if (s != nullptr) s->counter_add("service.deadline_expired");
   }
   if (deadline_in_batch && s != nullptr) {
     s->counter_add("service.deadline_expired");
   }
-  reply.shutdown = shutdown;
 
   // Retryable outcomes (kUnavailable, kDeadlineExceeded, partial
   // batches) are never remembered: a retry of the same id must get a
   // fresh attempt, not the failure replayed.
-  if (cacheable) {
-    const std::lock_guard<std::mutex> lock(idempotency_mutex_);
-    if (replays_.emplace(request->id, Replay{digest, reply.frame}).second) {
-      replay_order_.push_back(request->id);
-      while (replays_.size() > options_.max_idempotency_entries &&
-             !replay_order_.empty()) {
-        replays_.erase(replay_order_.front());
-        replay_order_.pop_front();
-      }
-    }
-  }
+  if (cacheable) remember_reply(request->id, digest, reply.buffer);
   record_latency();
   return reply;
 }

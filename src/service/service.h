@@ -25,7 +25,8 @@
 //    before any mutation, and an evaluator is (re)primed only after the
 //    full implementation built and passed analyze()'s precondition.
 //  * Requests are idempotent by id: a replayed id with the same request
-//    bytes returns the cached response bytes without re-executing. A
+//    bytes returns the cached response bytes without re-executing (the
+//    reply shares the cached buffer; nothing is copied). A
 //    reused id whose request differs (by a 64-bit FNV-1a digest) gets a
 //    typed kAlreadyExists error and caches nothing. Responses that advise
 //    retry (kUnavailable, kDeadlineExceeded) are never cached.
@@ -52,6 +53,14 @@
 
 namespace lrt::service {
 
+/// Payload bytes the idempotent-replay cache may hold, a second limit
+/// on the same FIFO as ServiceOptions::max_idempotency_entries: whichever
+/// bound is hit first evicts the oldest ids. A reply larger than the
+/// whole bound is not remembered. 1 MiB holds every compact delta reply
+/// of a full count bound several times over, or ~50 full reports of a
+/// 200-communicator workload.
+inline constexpr std::size_t kMaxIdempotencyBytes = std::size_t{1} << 20;
+
 struct ServiceOptions {
   /// Workloads kept resident (built models + primed evaluator); least
   /// recently used is evicted beyond this. Minimum 1.
@@ -68,8 +77,13 @@ struct ServiceOptions {
 };
 
 struct ServiceReply {
-  /// The response frame payload (JSON, no length prefix).
-  std::string frame;
+  /// The response frame payload (JSON, no length prefix): a view of
+  /// `buffer`, valid while this reply or a copy of it holds the buffer.
+  std::string_view frame;
+  /// The frame's bytes, written once by the handler and shared with the
+  /// idempotent-replay cache when remembered: a replay hands out the
+  /// cached buffer itself.
+  std::shared_ptr<const std::string> buffer;
   /// True once a shutdown request was accepted; the transport should
   /// stop accepting work after delivering this reply.
   bool shutdown = false;
@@ -102,6 +116,8 @@ class Service {
   /// the workload is not resident or has no evaluator. Read by tests.
   [[nodiscard]] std::optional<std::size_t> resident_trail_mark(
       std::uint64_t fingerprint) const;
+  /// Payload bytes held by the replay cache. Read by tests.
+  [[nodiscard]] std::size_t replay_cache_bytes() const;
 
   [[nodiscard]] std::int64_t now_ms() const;
   [[nodiscard]] obs::Sink* sink() const;
@@ -110,18 +126,36 @@ class Service {
       const JsonValue& body, std::string_view where);
   void touch_locked(std::uint64_t fingerprint);
 
-  [[nodiscard]] Result<std::string> run_verb(
-      const Request& request, std::int64_t arrival_ms,
-      std::optional<std::int64_t> deadline_at_ms, bool* shutdown,
-      bool* deadline_in_batch);
-  [[nodiscard]] Result<std::string> do_analyze(const JsonValue& body);
-  [[nodiscard]] Result<std::string> do_synthesize(const JsonValue& body);
-  [[nodiscard]] Result<std::string> do_validate(const JsonValue& body);
-  [[nodiscard]] Result<std::string> do_lint(const JsonValue& body);
-  [[nodiscard]] Result<std::string> do_update_check(const JsonValue& body);
-  [[nodiscard]] Result<std::string> do_batch(
-      const JsonValue& body, std::int64_t arrival_ms,
-      std::optional<std::int64_t> deadline_at_ms, bool* deadline_in_batch);
+  /// Verbs write their result value into `json`, the reply frame opened
+  /// by begin_ok_frame. On error the writer holds a partial value and is
+  /// dropped; the caller builds an error frame instead.
+  [[nodiscard]] Status run_verb(const Request& request,
+                                std::int64_t arrival_ms,
+                                std::optional<std::int64_t> deadline_at_ms,
+                                bool* shutdown, bool* deadline_in_batch,
+                                JsonWriter& json);
+  /// run_verb inside the reply envelope: `*frame` receives the ok frame
+  /// the verb wrote, or the error frame of the status returned.
+  [[nodiscard]] Status run_to_frame(const Request& request,
+                                    std::int64_t arrival_ms,
+                                    std::optional<std::int64_t> deadline_at_ms,
+                                    bool* shutdown, bool* deadline_in_batch,
+                                    std::string* frame);
+  [[nodiscard]] Status do_analyze(const JsonValue& body, JsonWriter& json);
+  [[nodiscard]] Status do_synthesize(const JsonValue& body,
+                                     JsonWriter& json);
+  [[nodiscard]] Status do_validate(const JsonValue& body, JsonWriter& json);
+  [[nodiscard]] Status do_lint(const JsonValue& body, JsonWriter& json);
+  [[nodiscard]] Status do_update_check(const JsonValue& body,
+                                       JsonWriter& json);
+  [[nodiscard]] Status do_batch(const JsonValue& body,
+                                std::int64_t arrival_ms,
+                                std::optional<std::int64_t> deadline_at_ms,
+                                bool* deadline_in_batch, JsonWriter& json);
+  /// Remembers `frame` for replay under `id`, evicting the oldest ids
+  /// beyond max_idempotency_entries or kMaxIdempotencyBytes.
+  void remember_reply(const std::string& id, std::uint64_t digest,
+                      std::shared_ptr<const std::string> frame);
 
   ServiceOptions options_;
 
@@ -134,15 +168,16 @@ class Service {
   };
   std::unordered_map<std::uint64_t, CacheEntry> residents_;
 
-  std::mutex idempotency_mutex_;
+  mutable std::mutex idempotency_mutex_;
   /// A cached response and the digest (support/hash.h hash_bytes) of the
   /// request bytes that produced it.
   struct Replay {
     std::uint64_t digest = 0;
-    std::string frame;
+    std::shared_ptr<const std::string> frame;
   };
   std::unordered_map<std::string, Replay> replays_;
   std::list<std::string> replay_order_;  ///< oldest first
+  std::size_t replay_bytes_ = 0;         ///< sum of cached frame sizes
 };
 
 }  // namespace lrt::service

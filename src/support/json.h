@@ -4,6 +4,7 @@
 #ifndef LRT_SUPPORT_JSON_H_
 #define LRT_SUPPORT_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -48,6 +49,12 @@ class JsonWriter {
   /// value is expected (nesting a codec's document inside an envelope).
   /// The caller vouches for its well-formedness.
   void raw(std::string_view json);
+
+  /// Bytes written so far, and room for `bytes` in total without
+  /// regrowth: a caller that knows its document's size (lrtd's reply
+  /// frames) writes it into one allocation instead of a doubling series.
+  [[nodiscard]] std::size_t size() const { return out_.size(); }
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   /// The document; the writer is spent afterwards.
   [[nodiscard]] std::string str() &&;

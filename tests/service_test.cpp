@@ -4,12 +4,18 @@
 // admission control, worker-count-independent response bytes).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <set>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -47,6 +53,9 @@ class ServiceTestPeer {
   static std::optional<std::size_t> trail_mark(const Service& service,
                                                std::uint64_t fingerprint) {
     return service.resident_trail_mark(fingerprint);
+  }
+  static std::size_t replay_bytes(const Service& service) {
+    return service.replay_cache_bytes();
   }
 };
 
@@ -143,7 +152,7 @@ std::string response_fingerprint(const std::string& frame) {
 std::string handle_ok(Service& service, const std::string& frame) {
   ServiceReply reply = service.handle(frame);
   EXPECT_TRUE(contains(reply.frame, "\"ok\":true")) << reply.frame;
-  return std::move(reply.frame);
+  return std::string(reply.frame);
 }
 
 std::string handle_error(Service& service, const std::string& frame,
@@ -153,7 +162,7 @@ std::string handle_error(Service& service, const std::string& frame,
   EXPECT_TRUE(
       contains(reply.frame, "\"code\":\"" + std::string(code) + "\""))
       << reply.frame;
-  return std::move(reply.frame);
+  return std::string(reply.frame);
 }
 
 /// A deterministic clock: every now_ms() call advances time by `step`.
@@ -719,6 +728,67 @@ TEST(Service, RandomizedDeltaStreamMatchesFacadeReports) {
   EXPECT_GT(reprimes, 5);
 }
 
+TEST(Service, FullReportRowsThatChangeLengthAreSplicedInPlace) {
+  // A perfect sensor and a perfect host make SRGs of exactly 1, which
+  // print as "1"; other host sets print "0.97", "0.997", ... So moving
+  // t1 and t2 between host sets changes the encoded length of rows a
+  // and b, in the middle of the cached report body, and every later
+  // row moves.
+  MirroredWorkload mirror;
+  mirror.spec_config.name = "row_lengths";
+  mirror.spec_config.communicators = {
+      {"s", spec::ValueType::kReal, spec::Value::real(0.0), 10, 0.9},
+      {"a", spec::ValueType::kReal, spec::Value::real(0.0), 10, 0.9},
+      {"b", spec::ValueType::kReal, spec::Value::real(0.0), 10, 0.8},
+      {"z", spec::ValueType::kReal, spec::Value::real(0.0), 10, 0.5},
+  };
+  spec::SpecificationConfig::TaskConfig t1;
+  t1.name = "t1";
+  t1.inputs = {{"s", 0}};
+  t1.outputs = {{"a", 1}};
+  t1.model = spec::FailureModel::kSeries;
+  spec::SpecificationConfig::TaskConfig t2;
+  t2.name = "t2";
+  t2.inputs = {{"a", 1}};
+  t2.outputs = {{"b", 2}};
+  t2.model = spec::FailureModel::kSeries;
+  mirror.spec_config.tasks = {t1, t2};
+  mirror.arch_config.name = "row_lengths_arch";
+  mirror.arch_config.hosts = {{"perfect", 1.0}, {"h2", 0.97}, {"h3", 0.9}};
+  mirror.arch_config.sensors = {{"gauge", 1.0}, {"spare", 0.99}};
+  mirror.arch_config.default_wcet = 2;
+  mirror.arch_config.default_wctt = 1;
+  mirror.impl_config.task_mappings = {{"t1", {"perfect"}, 0, 0, 0},
+                                      {"t2", {"perfect"}, 0, 0, 0}};
+  mirror.impl_config.sensor_bindings = {{"s", "gauge"}, {"z", "spare"}};
+  auto models = lrt::build_workload(mirror.spec_config, mirror.arch_config);
+  ASSERT_TRUE(models.ok()) << models.status().to_string();
+  mirror.models = std::move(models).value();
+  mirror.fingerprint = format_fingerprint(mirror.models.fingerprint());
+
+  Service service;
+  const std::string cold = handle_ok(service, cold_frame("len-cold", mirror));
+  ASSERT_EQ(cold, expected_analyze_frame(mirror, mirror.impl_config,
+                                         "len-cold", true));
+  const std::vector<std::vector<std::string>> host_sets = {
+      {"h2"}, {"perfect"}, {"h2", "h3"}, {"h3"}, {"perfect", "h2"},
+      {"h2"}, {"h3"}, {"perfect"}};
+  std::set<std::size_t> sizes;
+  for (std::size_t step = 0; step < 24; ++step) {
+    auto& mapping = mirror.impl_config.task_mappings[step % 2];
+    mapping.hosts = host_sets[(step * 3 + step / 2) % host_sets.size()];
+    const std::string id = "len-" + std::to_string(10 + step);
+    const ServiceReply reply = service.handle(mutate_frame(
+        id, mirror, mapping.task, mapping.hosts, std::nullopt, true));
+    ASSERT_EQ(reply.frame,
+              expected_analyze_frame(mirror, mirror.impl_config, id, true))
+        << "step " << step;
+    sizes.insert(reply.frame.size());
+  }
+  // Equal-length ids, so distinct frame sizes are distinct row lengths.
+  EXPECT_GE(sizes.size(), 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Idempotent replay.
 
@@ -755,10 +825,147 @@ TEST(Service, ReusedIdWithAnotherBodyIsATypedError) {
   // The original request still replays its own reply, and a fresh id
   // gets the lint verb's own answer.
   EXPECT_EQ(service.handle(make_frame("x", "ping")).frame, pong);
-  const std::string fresh = service.handle(make_frame("y", "lint",
-                                 "\"source\":\"program\"")).frame;
+  const std::string fresh(service.handle(make_frame("y", "lint",
+                                 "\"source\":\"program\"")).frame);
   EXPECT_FALSE(contains(fresh, "pong")) << fresh;
   EXPECT_FALSE(contains(fresh, "already used")) << fresh;
+}
+
+TEST(Service, ReplaysShareTheCachedBuffer) {
+  // A full report of a 200-task workload (~20 KB): the reply that
+  // executed and every replay of its id hand out one buffer.
+  const MirroredWorkload mirror = make_mirrored_workload(501);
+  Service service;
+  const std::string request = cold_frame("full", mirror);
+  const ServiceReply first = service.handle(request);
+  ASSERT_EQ(first.frame, expected_analyze_frame(mirror, mirror.impl_config,
+                                                "full", true));
+  ASSERT_GT(first.frame.size(), 10000u);
+  const ServiceReply replay = service.handle(request);
+  const ServiceReply again = service.handle(request);
+  EXPECT_EQ(replay.frame, first.frame);
+  EXPECT_EQ(again.frame, first.frame);
+  ASSERT_NE(first.buffer, nullptr);
+  EXPECT_EQ(replay.buffer.get(), first.buffer.get());
+  EXPECT_EQ(again.buffer.get(), first.buffer.get());
+  EXPECT_EQ(again.frame.data(), first.buffer->data());
+}
+
+TEST(Service, ReplayCacheIsBoundedInBytes) {
+  // Full reports of a 200-task workload (~20 KB each): some fifty fill
+  // kMaxIdempotencyBytes long before the 1024-id count bound.
+  obs::MetricsRegistry metrics;
+  obs::Sink sink(&metrics, nullptr);
+  ServiceOptions options;
+  options.sink = &sink;
+  Service service(options);
+  const MirroredWorkload mirror = make_mirrored_workload(502);
+  const std::string cold = handle_ok(service, cold_frame("cold", mirror));
+  ASSERT_GT(cold.size(), 10000u);
+
+  // Every delta moves the same task, so a request that runs again later
+  // answers the bytes it answered first.
+  const std::string& task = mirror.impl_config.task_mappings.front().task;
+  const auto& hosts = mirror.arch_config.hosts;
+  const std::size_t count = kMaxIdempotencyBytes / cold.size() + 10;
+  std::vector<std::string> requests;
+  std::vector<std::string> replies;
+  std::size_t largest = cold.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    requests.push_back(mutate_frame("f" + std::to_string(i), mirror, task,
+                                    {hosts[i % hosts.size()].name},
+                                    std::nullopt, true));
+    replies.push_back(handle_ok(service, requests.back()));
+    largest = std::max(largest, replies.back().size());
+    ASSERT_LE(ServiceTestPeer::replay_bytes(service), kMaxIdempotencyBytes)
+        << i;
+  }
+  // Only what the bound forces out is evicted.
+  EXPECT_GT(ServiceTestPeer::replay_bytes(service),
+            kMaxIdempotencyBytes - largest);
+  const auto counter = [&](const char* name) {
+    return metrics.snapshot().counter(name);
+  };
+
+  // The newest id replays; the oldest was evicted and runs again.
+  const std::int64_t hits = counter("service.analyze_hits");
+  EXPECT_EQ(service.handle(requests.back()).frame, replies.back());
+  EXPECT_EQ(counter("service.idempotent_replays"), 1);
+  EXPECT_EQ(counter("service.analyze_hits"), hits);
+  EXPECT_EQ(service.handle(requests.front()).frame, replies.front());
+  EXPECT_EQ(counter("service.idempotent_replays"), 1);
+  EXPECT_EQ(counter("service.analyze_hits"), hits + 1);
+  EXPECT_LE(ServiceTestPeer::replay_bytes(service), kMaxIdempotencyBytes);
+
+  // A cached id reused with another body is still a typed error.
+  handle_error(service,
+               mutate_frame("f" + std::to_string(count - 1), mirror, task,
+                            {hosts[count % hosts.size()].name},
+                            std::nullopt, true),
+               "kAlreadyExists");
+}
+
+TEST(Service, ReplyLargerThanTheByteBoundIsNotCached) {
+  obs::MetricsRegistry metrics;
+  obs::Sink sink(&metrics, nullptr);
+  ServiceOptions options;
+  options.sink = &sink;
+  Service service(options);
+  const std::string ping = make_frame("p", "ping");
+  const std::string pong = handle_ok(service, ping);
+  const std::size_t pong_bytes = ServiceTestPeer::replay_bytes(service);
+  EXPECT_EQ(pong_bytes, pong.size());
+
+  // A batch of full-report deltas whose reply outgrows the whole bound.
+  const MirroredWorkload mirror = make_mirrored_workload(503);
+  const std::string cold = handle_ok(service, cold_frame("cold", mirror));
+  const std::string& task = mirror.impl_config.task_mappings.front().task;
+  const auto& hosts = mirror.arch_config.hosts;
+  const std::size_t items = kMaxIdempotencyBytes / cold.size() + 4;
+  std::string batch_items;
+  for (std::size_t i = 0; i < items; ++i) {
+    if (i > 0) batch_items += ",";
+    batch_items += mutate_frame("item" + std::to_string(i), mirror, task,
+                                {hosts[i % hosts.size()].name},
+                                std::nullopt, true);
+  }
+  const std::string batch =
+      make_frame("big", "batch", "\"items\":[" + batch_items + "]");
+  const std::size_t cached = ServiceTestPeer::replay_bytes(service);
+  const std::string reply = handle_ok(service, batch);
+  ASSERT_GT(reply.size(), kMaxIdempotencyBytes);
+  EXPECT_EQ(ServiceTestPeer::replay_bytes(service), cached);
+
+  // Resent, the batch runs again (its first item puts the task back
+  // where the first run put it, so the bytes repeat); nothing replays.
+  const std::int64_t hits = metrics.snapshot().counter("service.analyze_hits");
+  EXPECT_EQ(service.handle(batch).frame, reply);
+  EXPECT_EQ(metrics.snapshot().counter("service.analyze_hits"),
+            hits + static_cast<std::int64_t>(items));
+  EXPECT_EQ(metrics.snapshot().counter("service.idempotent_replays"), 0);
+  // The oversized reply evicted nothing: the pong still replays.
+  EXPECT_EQ(ServiceTestPeer::replay_bytes(service), cached);
+  EXPECT_EQ(service.handle(ping).frame, pong);
+  EXPECT_EQ(metrics.snapshot().counter("service.idempotent_replays"), 1);
+}
+
+TEST(Service, ReplayCacheCountBoundStillEvicts) {
+  obs::MetricsRegistry metrics;
+  obs::Sink sink(&metrics, nullptr);
+  ServiceOptions options;
+  options.sink = &sink;
+  options.max_idempotency_entries = 2;
+  Service service(options);
+  const std::string a = handle_ok(service, make_frame("a", "ping"));
+  handle_ok(service, make_frame("b", "ping"));
+  handle_ok(service, make_frame("c", "ping"));
+  EXPECT_EQ(ServiceTestPeer::replay_bytes(service), 2 * a.size());
+  // "a" was evicted by count and runs again; "c" replays.
+  EXPECT_EQ(service.handle(make_frame("a", "ping")).frame, a);
+  EXPECT_EQ(metrics.snapshot().counter("service.ok"), 4);
+  handle_ok(service, make_frame("c", "ping"));
+  EXPECT_EQ(metrics.snapshot().counter("service.ok"), 4);
+  EXPECT_EQ(metrics.snapshot().counter("service.idempotent_replays"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -906,6 +1113,88 @@ TEST(Frame, RejectsOversizedLengthPrefix) {
   auto result = read_frame(fds[1]);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+std::atomic<int> g_write_interrupts{0};
+void count_write_interrupt(int) { g_write_interrupts.fetch_add(1); }
+
+TEST(Frame, ShortWritesStillDeliverTheWholeFrame) {
+  // A multi-megabyte frame through a few-KB socket buffer keeps the
+  // writer blocked in sendmsg(); a signal (installed without SA_RESTART)
+  // then ends the call after a partial transfer, or with EINTR before
+  // any. write_frame must resume from the first unsent byte either way.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof small),
+            0);
+  struct sigaction action {};
+  action.sa_handler = count_write_interrupt;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+
+  std::string payload(3u << 20, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>('a' + (i * 7 + i / 4093) % 26);
+  }
+  Result<std::optional<std::string>> received = std::optional<std::string>();
+  std::thread reader([&] { received = read_frame(fds[1]); });
+  std::atomic<bool> writing{true};
+  const pthread_t writer = ::pthread_self();
+  g_write_interrupts = 0;
+  std::thread interrupter([&] {
+    while (writing.load()) {
+      ::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  const Status written = write_frame(fds[0], payload);
+  writing = false;
+  interrupter.join();
+  reader.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  ASSERT_TRUE(written.ok()) << written.to_string();
+  EXPECT_GT(g_write_interrupts.load(), 0);
+  ASSERT_TRUE(received.ok()) << received.status().to_string();
+  ASSERT_TRUE(received->has_value());
+  EXPECT_TRUE(**received == payload);
+}
+
+TEST(Frame, WriteToClosedPeerIsUnavailable) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  // No SIGPIPE: the test process keeps the default action, which would
+  // kill it.
+  const Status status = write_frame(fds[0], "{\"late\":true}");
+  ::close(fds[0]);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.to_string();
+}
+
+TEST(Frame, RefusesOversizedPayloadBeforeWriting) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // Address space for one byte over the limit; never touched, so it
+  // costs no memory.
+  const std::size_t size = kMaxFramePayload + 1;
+  void* bytes = ::mmap(nullptr, size, PROT_READ,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(bytes, MAP_FAILED);
+  const Status status =
+      write_frame(fds[0], std::string_view(static_cast<char*>(bytes), size));
+  ::munmap(bytes, size);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  char probe = 0;
+  EXPECT_EQ(::recv(fds[1], &probe, 1, MSG_DONTWAIT), -1);
+  EXPECT_EQ(errno, EAGAIN);
   ::close(fds[0]);
   ::close(fds[1]);
 }
