@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
   obs::SessionOptions obs_options;
   serve.add_string("--socket", &socket_path, "AF_UNIX socket path");
   serve.add_int("--threads", &threads,
-                "worker threads (0 = hardware concurrency)");
+                "requests handled at once (0 = hardware concurrency)");
   serve.add_int("--max-pending", &max_pending,
-                "admission-control bound on queued requests");
+                "admission-control bound on admitted requests");
   serve.add_int("--max-resident", &max_resident,
                 "LRU bound on resident workload evaluators");
   obs::add_session_flags(serve, &obs_options);

@@ -309,8 +309,7 @@ Status UpdateEngine::verify(
   }
   auto synthesized = synth::synthesize(to, arch, merged, opts);
   if (!synthesized.ok() &&
-      synthesized.status().code() == StatusCode::kUnsatisfiable &&
-      options_.widen_on_unsat && any_pin) {
+      synthesized.status().code() == StatusCode::kUnsatisfiable && any_pin) {
     // The changed region alone cannot absorb the update; trade locality
     // for a global search before giving up.
     opts.pinned_hosts.clear();

@@ -95,10 +95,6 @@ struct LiveUpdateOptions {
   /// Do not install before this instant (the engine keeps answering the
   /// runtime's update points with null until then).
   spec::Time earliest_install = 0;
-  /// When the pinned re-synthesis is unsatisfiable, retry once with every
-  /// pin released — trading locality for a global search — before
-  /// rejecting.
-  bool widen_on_unsat = true;
   /// Observability: adapt.updates_* counters and an "adapt/update" span
   /// covering propose -> resolution. Null falls back to the process-global
   /// sink.

@@ -114,12 +114,12 @@ class DiagnosticEngine {
   };
 
   /// Sets the configuration for one rule (by id or name, per the caller's
-  /// key choice; lint::run resolves names to ids first).
+  /// key choice; a diagnostic matches its id first, then its name).
   void configure(std::string_view rule_key, RuleConfig config);
 
   /// Parses a "<rule>=<severity|off>" flag, e.g. "LRT004=off" or
   /// "race-write-write=error". The rule key is validated by the caller
-  /// (lint::run) against the rule catalog.
+  /// (the lint entry points) against the rule catalog.
   Status configure_flag(std::string_view flag);
 
   /// Records `diag` unless its rule is disabled; returns true iff

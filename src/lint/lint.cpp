@@ -135,30 +135,6 @@ int LintResult::count(Severity severity) const {
                     }));
 }
 
-Result<LintResult> run(const htl::ProgramAst& program,
-                       const spec::Specification* spec,
-                       const arch::Architecture* arch,
-                       const LintOptions& options) {
-  const obs::Sink* sink = obs::resolve_sink(options.sink);
-  const obs::SpanGuard span(sink, "lint", "run");
-  DiagnosticEngine engine;
-  LRT_RETURN_IF_ERROR(configure_engine(engine, options));
-  const SourceLocation origin{options.file, 0, 0};
-  run_ast_passes(program, origin, engine);
-  ProductStats stats;
-  run_product_passes(program, arch, {options.max_product_nodes}, origin,
-                     engine, &stats);
-  if (spec != nullptr) {
-    check_cycles(program, *spec, origin, engine);
-    if (arch != nullptr) {
-      check_lrc_feasibility(program, *spec, *arch, origin, engine);
-    }
-  }
-  return with_counters(
-      sink, finish(engine, spec != nullptr, spec != nullptr && arch != nullptr,
-                   stats));
-}
-
 namespace {
 
 /// The flatten-and-lint pipeline; lint_program() wraps it with

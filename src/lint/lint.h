@@ -1,9 +1,7 @@
 // lrt-lint: multi-pass static analysis of HTL programs against the
 // paper's preconditions (DESIGN.md section 5d).
 //
-// Three entry points, from most to least pre-digested input:
-//   * run(program, spec, arch, options)    — lint an already-compiled
-//     system; spec/arch may be null and the corresponding passes skip;
+// Two entry points, from most to least pre-digested input:
 //   * lint_program(program, options)       — flatten and build the
 //     architecture internally, converting frontend failures into LRT000
 //     diagnostics instead of hard errors;
@@ -11,8 +9,7 @@
 //     also become LRT000 diagnostics with their source location.
 //
 // The CLI (examples/lrt_lint.cpp) and the CI SARIF gate sit on
-// lint_source; programmatic callers that already hold a CompiledSystem
-// use run() directly.
+// lint_source.
 #ifndef LRT_LINT_LINT_H_
 #define LRT_LINT_LINT_H_
 
@@ -66,14 +63,6 @@ struct LintResult {
   /// No error-severity findings (the CI gate condition).
   [[nodiscard]] bool clean() const { return errors() == 0; }
 };
-
-/// Lints a parsed program plus optional flattened models. Null spec/arch
-/// skip the corresponding passes (recorded in the result flags). Fails
-/// only on invalid options (unknown rule in rule_flags).
-[[nodiscard]] Result<LintResult> run(const htl::ProgramAst& program,
-                                     const spec::Specification* spec,
-                                     const arch::Architecture* arch,
-                                     const LintOptions& options = {});
 
 /// Flattens `program` (and builds its architecture block, if any), then
 /// runs all applicable passes. Frontend failures become LRT000

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 #include <utility>
 
@@ -17,28 +16,18 @@
 
 namespace lrt::service {
 
-Server::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
-}
-
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), service_(options_.service) {
-  threads_ = options_.threads != 0
+    : options_(std::move(options)),
+      service_(options_.service),
+      slots_(options_.threads != 0
                  ? options_.threads
-                 : std::max(1u, std::thread::hardware_concurrency());
-}
+                 : std::max(1u, std::thread::hardware_concurrency())) {}
 
 Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
   std::unique_ptr<Server> server(new Server(std::move(options)));
   LRT_RETURN_IF_ERROR(server->Bind());
   server->listener_ = std::thread([raw = server.get()] {
     raw->listener_loop();
-  });
-  server->pool_ = std::make_unique<ThreadPool>(server->threads_);
-  server->dispatcher_ = std::thread([raw = server.get()] {
-    raw->pool_->parallel_for(
-        static_cast<std::int64_t>(raw->threads_),
-        [raw](std::int64_t) { raw->worker_loop(); });
   });
   return server;
 }
@@ -52,8 +41,6 @@ Status Server::Bind() {
     return InvalidArgumentError("socket path '" + options_.socket_path +
                                 "' exceeds the AF_UNIX path limit");
   }
-  // A worker writing to a client that hung up must see EPIPE, not die.
-  std::signal(SIGPIPE, SIG_IGN);
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return InternalError(std::string("socket() failed: ") +
@@ -76,164 +63,116 @@ Status Server::Bind() {
 }
 
 void Server::listener_loop() {
-  while (accepting_.load(std::memory_order_relaxed)) {
+  while (true) {
     pollfd poll_fd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&poll_fd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check the flag
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    auto connection = std::make_shared<Connection>(fd);
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (draining_) {
-        continue;  // Connection destructor closes the fd.
+    // On a timeout or EINTR, fall through to reap and re-check draining_.
+    const int fd = ::poll(&poll_fd, 1, /*timeout_ms=*/100) > 0
+                       ? ::accept(listen_fd_, nullptr, nullptr)
+                       : -1;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // A finished thread keeps its stack until it is joined. A reader
+    // sets done under mutex_ and takes it no more, so this join is short.
+    for (auto it = readers_.begin(); it != readers_.end();) {
+      if (!it->done) {
+        ++it;
+        continue;
       }
-      connections_.push_back(connection);
-      readers_.emplace_back([this, connection] { reader_loop(connection); });
+      it->thread.join();
+      it = readers_.erase(it);
     }
+    if (draining_) {
+      if (fd >= 0) ::close(fd);
+      return;
+    }
+    if (fd < 0) continue;
+    Reader& reader = readers_.emplace_back(fd);
+    reader.thread = std::thread([this, &reader] { reader_loop(reader); });
   }
 }
 
-void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
+void Server::reader_loop(Reader& reader) {
+  const int fd = reader.fd;
   obs::Sink* sink = obs::resolve_sink(options_.service.sink);
   while (true) {
-    Result<std::optional<std::string>> frame = read_frame(connection->fd);
+    Result<std::optional<std::string>> frame = read_frame(fd);
     if (!frame.ok()) {
       if (frame.status().code() == StatusCode::kInvalidArgument) {
         // Oversized length prefix: the stream is beyond resync; answer
         // once, then drop the connection.
-        const std::lock_guard<std::mutex> lock(connection->write_mutex);
-        (void)write_frame(connection->fd,
-                          make_error_frame(std::nullopt, frame.status()));
+        (void)write_frame(fd, make_error_frame(std::nullopt, frame.status()));
       }
       break;
     }
     if (!frame->has_value()) break;  // clean EOF
-    std::string payload = std::move(**frame);
+    const std::string payload = std::move(**frame);
 
-    bool shed = false;
-    Status shed_status = Status::Ok();
+    Status admission = Status::Ok();
     {
-      const std::lock_guard<std::mutex> lock(queue_mutex_);
+      const std::lock_guard<std::mutex> lock(mutex_);
       if (draining_) {
-        shed = true;
-        shed_status = UnavailableError("server is shutting down");
+        admission = UnavailableError("server is shutting down");
       } else if (pending_ >= options_.max_pending) {
-        shed = true;
-        shed_status = UnavailableError(
+        admission = UnavailableError(
             "server overloaded: " + std::to_string(pending_) +
             " requests pending; retry later");
       } else {
         ++pending_;
-        connection->queue.push_back(std::move(payload));
-        if (!connection->busy && connection->queue.size() == 1) {
-          ready_.push_back(connection);
-          ready_cv_.notify_one();
-        }
       }
     }
-    if (shed) {
-      // Reader-side load shed: the request never reaches the service, so
-      // the typed reply is written here, before the next read.
+    if (!admission.ok()) {
+      // Load shed: the request never reaches the service.
       if (sink != nullptr) sink->counter_add("service.shed");
-      const std::lock_guard<std::mutex> lock(connection->write_mutex);
-      (void)write_frame(connection->fd,
-                        make_error_frame(extract_request_id(payload),
-                                         shed_status));
+      (void)write_frame(fd, make_error_frame(extract_request_id(payload),
+                                             admission));
+      continue;
     }
-  }
-  const std::lock_guard<std::mutex> lock(queue_mutex_);
-  connection->eof = true;
-  remove_if_done_locked(connection);
-}
 
-void Server::worker_loop() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  while (true) {
-    ready_cv_.wait(lock,
-                   [this] { return workers_done_ || !ready_.empty(); });
-    if (workers_done_) return;
-    const std::shared_ptr<Connection> connection = ready_.front();
-    ready_.pop_front();
-    connection->busy = true;
-    std::string payload = std::move(connection->queue.front());
-    connection->queue.pop_front();
-    lock.unlock();
-
+    slots_.acquire();
     const ServiceReply reply = service_.handle(payload);
-    {
-      const std::lock_guard<std::mutex> write_lock(
-          connection->write_mutex);
-      (void)write_frame(connection->fd, reply.frame);
-    }
+    slots_.release();
+    (void)write_frame(fd, reply.frame);
 
-    lock.lock();
-    connection->busy = false;
+    const std::lock_guard<std::mutex> lock(mutex_);
     --pending_;
-    if (!connection->queue.empty()) {
-      ready_.push_back(connection);
-      ready_cv_.notify_one();
-    } else {
-      remove_if_done_locked(connection);
-    }
-    if (reply.shutdown) {
-      draining_ = true;
-      accepting_.store(false, std::memory_order_relaxed);
-    }
+    if (reply.shutdown) draining_ = true;
     finish_if_drained_locked();
   }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ::close(fd);
+  reader.fd = -1;
+  reader.done = true;
 }
 
 void Server::finish_if_drained_locked() {
-  if (!draining_ || pending_ != 0 || workers_done_) return;
-  workers_done_ = true;
-  accepting_.store(false, std::memory_order_relaxed);
-  ready_cv_.notify_all();
+  if (!draining_ || pending_ != 0 || drained_) return;
+  drained_ = true;
   done_cv_.notify_all();
+  // Wake the listener's poll() now instead of at its next timeout.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   // Unblock every reader parked in read(); they exit via EOF.
-  for (const std::shared_ptr<Connection>& connection : connections_) {
-    ::shutdown(connection->fd, SHUT_RDWR);
+  for (const Reader& reader : readers_) {
+    if (reader.fd >= 0) ::shutdown(reader.fd, SHUT_RDWR);
   }
-}
-
-void Server::remove_if_done_locked(
-    const std::shared_ptr<Connection>& connection) {
-  if (!connection->eof || connection->busy || !connection->queue.empty()) {
-    return;
-  }
-  connections_.erase(
-      std::remove(connections_.begin(), connections_.end(), connection),
-      connections_.end());
 }
 
 void Server::Stop() {
-  const std::lock_guard<std::mutex> lock(queue_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   draining_ = true;
-  accepting_.store(false, std::memory_order_relaxed);
   finish_if_drained_locked();
 }
 
 void Server::Wait() {
   {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    done_cv_.wait(lock, [this] { return workers_done_; });
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [this] { return drained_; });
     if (joined_) return;
     joined_ = true;
   }
+  // Once the listener is joined, readers_ no longer changes shape; the
+  // readers still running write only their own fd and done fields.
   if (listener_.joinable()) listener_.join();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  std::vector<std::thread> readers;
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    readers.swap(readers_);
-  }
-  for (std::thread& reader : readers) {
-    if (reader.joinable()) reader.join();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    connections_.clear();
-  }
+  for (Reader& reader : readers_) reader.thread.join();
+  readers_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -243,9 +182,7 @@ void Server::Wait() {
 
 Server::~Server() {
   Stop();
-  if (listener_.joinable() || dispatcher_.joinable() || !joined_) {
-    Wait();
-  }
+  Wait();
 }
 
 }  // namespace lrt::service

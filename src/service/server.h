@@ -1,37 +1,38 @@
 // The lrtd transport: an AF_UNIX stream server delivering framed
-// requests to a Service over a worker pool (DESIGN.md §5k).
+// requests to a Service (DESIGN.md §5k).
 //
 // Threading model:
-//  * one listener thread accepts connections;
-//  * one reader thread per connection decodes frames and enqueues them.
-//    Admission control happens here: when the global pending count is at
-//    ServerOptions::max_pending, the reader sheds the request with a
-//    typed kUnavailable reply instead of queueing unbounded work;
-//  * a fixed pool of workers (support/thread_pool) drains a ready-queue
-//    of connections. Each connection is FIFO: at most one of its
-//    requests is in flight at a time and responses go back in request
-//    order, which is what makes a connection's response bytes
-//    independent of the worker count.
+//  * one listener thread accepts connections and joins the reader
+//    threads of connections that have closed;
+//  * one reader thread per connection reads a frame, admits it, handles
+//    it, and writes the reply before it reads the next frame. Each
+//    connection is FIFO by construction: it has at most one request in
+//    flight, so its response bytes are a function of its request
+//    sequence alone. Frames a client pipelines wait in its socket
+//    buffer;
+//  * admission is global across connections: when ServerOptions::
+//    max_pending requests are admitted, the reader sheds the frame with
+//    a typed kUnavailable reply instead of queueing unbounded work;
+//  * at most ServerOptions::threads admitted requests run in
+//    Service::handle at once; the rest wait for an execution slot.
 //
 // Shutdown (the `shutdown` verb or Stop()) is graceful: the listener
-// stops accepting, queued requests drain, workers exit, and the socket
-// path is unlinked.
+// stops accepting, admitted requests drain, readers exit, and the
+// socket path is unlinked.
 #ifndef LRT_SERVICE_SERVER_H_
 #define LRT_SERVICE_SERVER_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
-#include <deque>
+#include <cstddef>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/service.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 
 namespace lrt::service {
 
@@ -39,19 +40,19 @@ struct ServerOptions {
   /// Filesystem path of the AF_UNIX socket; created on Start (an
   /// existing file at the path is replaced) and unlinked on shutdown.
   std::string socket_path;
-  /// Worker parallelism (including the dispatcher); 0 picks
+  /// Requests handled at once; 0 picks
   /// std::thread::hardware_concurrency().
   unsigned threads = 0;
-  /// Global bound on queued-but-unstarted requests; past it, new frames
-  /// are answered with kUnavailable by the reader (load shed, counted as
-  /// service.shed).
+  /// Global bound on admitted requests (waiting for a slot or running);
+  /// past it, new frames are answered with kUnavailable by the reader
+  /// (load shed, counted as service.shed).
   std::size_t max_pending = 128;
   ServiceOptions service;
 };
 
 class Server {
  public:
-  /// Binds the socket and starts the listener and worker threads.
+  /// Binds the socket and starts the listener thread.
   [[nodiscard]] static Result<std::unique_ptr<Server>> Start(
       ServerOptions options);
 
@@ -62,8 +63,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Begins a graceful shutdown: stop accepting, drain the queue.
-  /// Idempotent; returns without waiting.
+  /// Begins a graceful shutdown: stop accepting, drain admitted
+  /// requests. Idempotent; returns without waiting.
   void Stop();
 
   /// Blocks until shutdown completes (triggered by the `shutdown` verb
@@ -75,45 +76,37 @@ class Server {
   }
 
  private:
-  struct Connection {
-    explicit Connection(int connection_fd) : fd(connection_fd) {}
-    ~Connection();
-    int fd = -1;
-    std::mutex write_mutex;       ///< serializes response/shed frames
-    std::deque<std::string> queue;  ///< decoded frames awaiting a worker
-    bool busy = false;            ///< a worker is handling a request
-    bool eof = false;             ///< reader finished
+  friend class ServerTestPeer;
+
+  /// One accepted connection and the thread that serves it.
+  struct Reader {
+    explicit Reader(int connection_fd) : fd(connection_fd) {}
+    std::thread thread;
+    int fd;             ///< -1 once the reader has closed it
+    bool done = false;  ///< the reader returned; join it
   };
 
   explicit Server(ServerOptions options);
 
   [[nodiscard]] Status Bind();
   void listener_loop();
-  void reader_loop(const std::shared_ptr<Connection>& connection);
-  void worker_loop();
-  /// With queue_mutex_ held: completes the drain once stopping and idle.
+  void reader_loop(Reader& reader);
+  /// With mutex_ held: completes the drain once stopping and idle.
   void finish_if_drained_locked();
-  void remove_if_done_locked(const std::shared_ptr<Connection>& connection);
 
   ServerOptions options_;
-  unsigned threads_ = 1;
   Service service_;
+  std::counting_semaphore<> slots_;  ///< ServerOptions::threads
 
   int listen_fd_ = -1;
-  std::atomic<bool> accepting_{true};
   std::thread listener_;
-  std::thread dispatcher_;
-  std::unique_ptr<ThreadPool> pool_;
 
-  std::mutex queue_mutex_;
-  std::condition_variable ready_cv_;  ///< workers: ready_ / workers_done_
-  std::condition_variable done_cv_;   ///< Wait(): workers_done_ only
-  std::deque<std::shared_ptr<Connection>> ready_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> readers_;
-  std::size_t pending_ = 0;  ///< queued + in-flight requests
+  std::mutex mutex_;
+  std::condition_variable done_cv_;  ///< Wait(): drained_ only
+  std::list<Reader> readers_;        ///< live or not yet joined
+  std::size_t pending_ = 0;          ///< admitted, unanswered requests
   bool draining_ = false;
-  bool workers_done_ = false;
+  bool drained_ = false;
   bool joined_ = false;
 };
 

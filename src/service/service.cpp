@@ -553,8 +553,8 @@ Status Service::do_validate(const JsonValue& body, JsonWriter& json) {
       const impl::Implementation impl,
       lrt::build_implementation(resident->workload, std::move(config)));
   sim::MonteCarloOptions options;
-  // One thread per campaign: the service worker pool is the parallelism;
-  // nesting pools would oversubscribe.
+  // One thread per campaign: the server's concurrent requests are the
+  // parallelism; a pool per request would oversubscribe.
   options.threads = 1;
   if (const JsonValue* trials = body.find("trials")) {
     LRT_ASSIGN_OR_RETURN(options.trials,

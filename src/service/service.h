@@ -17,7 +17,7 @@
 // Guarantees:
 //  * Responses are byte-identical to the one-shot facade calls they wrap
 //    (the SrgEvaluator bit-identity contract carries the hit path), and
-//    depend only on the request sequence observed — never on worker
+//    depend only on the request sequence observed — never on thread
 //    count, cache temperature, or wall-clock time. Thread-variant fields
 //    (campaign timing, search-effort counters) are excluded from the
 //    wire.

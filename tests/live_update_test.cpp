@@ -450,5 +450,28 @@ TEST(LiveUpdate, ResynthesisPinsTheCleanRegion) {
   }
 }
 
+TEST(LiveUpdate, UnsatisfiablePinsWidenToAGlobalSearch) {
+  // f1 at LRC 0.985 needs l1 above 0.9801, the 0.99 sensor times read1's
+  // single 0.99 host. read1 is upstream of the dirty cone, so pinned to
+  // h3 it leaves the cone unsatisfiable; with every pin released, read1
+  // replicates and f1 holds.
+  const Fixture f = running_system();
+  LiveUpdateOptions options = policy();
+  options.earliest_install = 0;
+  UpdateEngine engine(*f.impl, options);
+  ASSERT_TRUE(engine.propose(0, make_spec(true, 0.985)).ok());
+  ASSERT_EQ(engine.state(), UpdateState::kStaged)
+      << engine.report().summary();
+  EXPECT_EQ(engine.report().path, UpdatePath::kResynthesized);
+  EXPECT_EQ(engine.report().dirty_tasks,
+            (std::vector<std::string>{"estimate1", "filter1", "t1"}));
+  const impl::Implementation* staged = engine.on_update_point(kHyper);
+  ASSERT_NE(staged, nullptr);
+  const auto t_new = staged->specification().find_task("read1");
+  const auto t_old = f.impl->specification().find_task("read1");
+  ASSERT_TRUE(t_new.has_value() && t_old.has_value());
+  EXPECT_NE(staged->hosts_for(*t_new), f.impl->hosts_for(*t_old));
+}
+
 }  // namespace
 }  // namespace lrt::adapt

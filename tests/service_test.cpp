@@ -1,12 +1,14 @@
 // End-to-end tests for lrtd (DESIGN.md §5k): the Service request handler
 // (wire envelope, fingerprint cache, delta analyzes, deadlines,
 // idempotent replay) and the AF_UNIX Server transport (framing,
-// admission control, worker-count-independent response bytes).
+// admission control, thread-count-independent response bytes, in-order
+// answers to pipelined frames, reader-thread reaping).
 #include <gtest/gtest.h>
 
 #include <pthread.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,9 +17,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -56,6 +60,15 @@ class ServiceTestPeer {
   }
   static std::size_t replay_bytes(const Service& service) {
     return service.replay_cache_bytes();
+  }
+};
+
+/// Reads Server internals: the reader threads it still holds.
+class ServerTestPeer {
+ public:
+  static std::size_t reader_threads(Server& server) {
+    const std::lock_guard<std::mutex> lock(server.mutex_);
+    return server.readers_.size();
   }
 };
 
@@ -1359,6 +1372,77 @@ TEST(Server, ShedsBeyondPendingBoundWithoutPoisoningState) {
     }
   }
   EXPECT_TRUE(analyzed);
+
+  (*server)->Stop();
+  (*server)->Wait();
+}
+
+TEST(Server, PipelinedFramesOnOneConnectionAreAnsweredInOrder) {
+  // A connection has at most one admitted request: frames a client
+  // pipelines behind a slow one wait in its socket, are neither queued
+  // nor shed, and are answered in request order.
+  ServerOptions options;
+  options.socket_path = test_socket_path("pipeline");
+  options.threads = 1;
+  options.max_pending = 1;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, options.socket_path.c_str(),
+              options.socket_path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  const std::vector<std::string> ids = {"v1", "p1", "p2"};
+  ASSERT_TRUE(write_frame(fd, make_frame(
+                                  "v1", "validate",
+                                  cold_analyze_extra(make_impl_config({"h1"})) +
+                                      ",\"trials\":4000,\"periods\":60,"
+                                      "\"seed\":11"))
+                  .ok());
+  ASSERT_TRUE(write_frame(fd, make_frame("p1", "ping")).ok());
+  ASSERT_TRUE(write_frame(fd, make_frame("p2", "ping")).ok());
+  for (const std::string& id : ids) {
+    auto reply = read_frame(fd);
+    ASSERT_TRUE(reply.ok()) << reply.status().to_string();
+    ASSERT_TRUE(reply->has_value());
+    EXPECT_TRUE(contains(**reply, "\"id\":\"" + id + "\"")) << **reply;
+    EXPECT_TRUE(contains(**reply, "\"ok\":true")) << **reply;
+  }
+  ::close(fd);
+
+  (*server)->Stop();
+  (*server)->Wait();
+}
+
+TEST(Server, JoinsReaderThreadsOfClosedConnections) {
+  // A finished thread keeps its stack until joined, so a long-lived
+  // server must not hold the reader of every connection it ever served.
+  ServerOptions options;
+  options.socket_path = test_socket_path("reap");
+  options.threads = 1;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+
+  for (int i = 0; i < 64; ++i) {
+    auto client = Client::Connect(options.socket_path);
+    ASSERT_TRUE(client.ok()) << client.status().to_string();
+    auto pong = client->call(make_frame("p" + std::to_string(i), "ping"));
+    ASSERT_TRUE(pong.ok()) << pong.status().to_string();
+  }  // each Client closes its connection here
+
+  // The listener joins finished readers at least once per poll period.
+  std::size_t held = ServerTestPeer::reader_threads(**server);
+  for (int wait = 0; wait < 500 && held > 1; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    held = ServerTestPeer::reader_threads(**server);
+  }
+  EXPECT_LE(held, 1u);
 
   (*server)->Stop();
   (*server)->Wait();
